@@ -2,8 +2,8 @@
 recursion D(n+1) = a + b*D(n)^2, plus its power-law and matrix relatives."""
 
 from .errors import (
-    CacheCorruptionError,
     CapExceededError,
+    CertificateError,
     InvalidParamsError,
     NonIntegerParamsError,
     RecgrowError,
@@ -61,15 +61,14 @@ from .nsmodel import (
     summand_budget,
     term_count,
 )
-from .cache import SequenceCache, cache_roundtrip, load_table, store_table
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkRow",
     "BoundCertificate",
-    "CacheCorruptionError",
     "CapExceededError",
+    "CertificateError",
     "ConvergenceProfile",
     "CostProjection",
     "DEFAULT_CAP",
@@ -84,11 +83,9 @@ __all__ = [
     "PowerFamily",
     "PowerNonlinearity",
     "RecgrowError",
-    "SequenceCache",
     "SequenceTable",
     "ToleranceUnachievableError",
     "ValidationReport",
-    "cache_roundtrip",
     "certify",
     "closed_form_lower",
     "compare_to_benchmark",
@@ -102,7 +99,6 @@ __all__ = [
     "integer_envelope",
     "is_monotone",
     "iterate_family",
-    "load_table",
     "log_log_index",
     "lower_bound",
     "max_row_sum",
@@ -110,7 +106,6 @@ __all__ = [
     "q_factor",
     "ratio",
     "scalar_envelope",
-    "store_table",
     "summand_budget",
     "term_count",
     "upper_bound",

@@ -16,25 +16,17 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import bounds as bounds_mod
 from . import general as general_mod
 from . import growth as growth_mod
 from . import matrixrec
 from . import nsmodel
-from .cache import CACHE_ENV_VAR, SequenceCache
-from .errors import (
-    CacheCorruptionError,
-    CapExceededError,
-    InvalidParamsError,
-    ToleranceUnachievableError,
-)
-from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate, is_monotone, validate_params
+from .errors import CapExceededError, InvalidParamsError, ToleranceUnachievableError
+from .recurrence import DEFAULT_CAP, Params, evaluate, is_monotone, validate_params
 from .serialize import canonical_json_bytes, decimal_str, frac_str, parse_rational
 
 SCHEMA_VERSION = 1
@@ -156,19 +148,6 @@ def _params_dict(params: Params) -> dict:
     return {"a": frac_str(params.a), "b": frac_str(params.b), "d0": frac_str(params.d0)}
 
 
-def _get_table(params: Params, n_max: int, cap: int, cache_dir: Optional[str]) -> SequenceTable:
-    directory = cache_dir or os.environ.get(CACHE_ENV_VAR)
-    if not directory:
-        return evaluate(params, n_max, cap=cap)
-    cache = SequenceCache(directory)
-    hit = cache.get(params, n_max)
-    if hit is not None:
-        return hit
-    table = evaluate(params, n_max, cap=cap)
-    cache.put(table)
-    return table
-
-
 def _discrepancies_for(params: Params) -> list:
     if (params.a, params.b, params.d0) != (Fraction(1), Fraction(9), Fraction(1)):
         return []
@@ -190,7 +169,7 @@ def _discrepancies_for(params: Params) -> list:
 
 def _cmd_eval(args) -> Report:
     params = _params_from_args(args)
-    table = _get_table(params, args.n, args.cap, args.cache_dir)
+    table = evaluate(params, args.n, cap=args.cap)
     values = [frac_str(v) for v in table.values]
     monotone = is_monotone(table)
     return Report(
@@ -266,7 +245,7 @@ def _cmd_growth(args) -> Report:
         "width": decimal_str(enc.width, enc.digits),
     }
     if args.loglog_n is not None:
-        table = _get_table(params, args.loglog_n, args.cap, args.cache_dir)
+        table = evaluate(params, args.loglog_n, cap=args.cap)
         index = growth_mod.log_log_index(table, args.loglog_n, args.rtol)
         results["log_log_index"] = {"n": args.loglog_n, "value": frac_str(index)}
     return Report(
@@ -479,14 +458,20 @@ def _cmd_ns(args) -> Report:
 # parser assembly
 
 
+def _fmt_parent(cap: int) -> argparse.ArgumentParser:
+    # one parent per cap default: subparsers share their parents' action
+    # objects, so set_defaults on one subcommand would change them all
+    parent = _ArgumentParser(add_help=False)
+    parent.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    parent.add_argument("--cap", type=_nonneg_int, default=cap, help=f"evaluation index cap, default {cap}")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="recgrow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    fmt_parent = _ArgumentParser(add_help=False)
-    fmt_parent.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    fmt_parent.add_argument("--cache-dir", default=None, help=f"sequence cache dir (or ${CACHE_ENV_VAR})")
-    fmt_parent.add_argument("--cap", type=_nonneg_int, default=DEFAULT_CAP, help="evaluation index cap")
+    fmt_parent = _fmt_parent(DEFAULT_CAP)
 
     ab_parent = _ArgumentParser(add_help=False)
     ab_parent.add_argument("--a", type=_rational, required=True, help="additive constant, exact rational")
@@ -519,10 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--digits", type=_pos_int, default=general_mod.DEFAULT_ROOT_DIGITS)
 
-    p = sub.add_parser("matrix", parents=[fmt_parent], help="matrix recursion from a JSON document")
+    p = sub.add_parser(
+        "matrix", parents=[_fmt_parent(matrixrec.MATRIX_DEFAULT_CAP)], help="matrix recursion from a JSON document"
+    )
     p.add_argument("--file", required=True, help="matrix document (a, b, d0 as row-major rational strings)")
     p.add_argument("--n", type=_nonneg_int, required=True)
-    p.set_defaults(cap=matrixrec.MATRIX_DEFAULT_CAP)
 
     p = sub.add_parser("ns", parents=[fmt_parent], help="iteration term counts and cost projection")
     p.add_argument("--d", type=_pos_int, required=True, help="spatial dimension")
@@ -569,9 +555,6 @@ def run(argv) -> int:
     except (CapExceededError, ToleranceUnachievableError) as exc:
         print(f"recgrow: {exc}", file=sys.stderr)
         return EXIT_CAP_OR_TOLERANCE
-    except CacheCorruptionError as exc:
-        print(f"recgrow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     _emit(report, args.format)
     return EXIT_OK
 

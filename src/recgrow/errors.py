@@ -33,5 +33,9 @@ class NonIntegerParamsError(RecgrowError, ValueError):
     """An operation restricted to integer coefficients got non-integers."""
 
 
-class CacheCorruptionError(RecgrowError):
-    """A cache file failed to parse or its checksum did not match."""
+class CertificateError(RecgrowError):
+    """A certified inequality failed its exact check.
+
+    This signals a fault in the library, not bad input, so the CLI maps it to
+    neither the invalid-parameter nor the cap/tolerance exit code.
+    """

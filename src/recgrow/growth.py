@@ -20,7 +20,7 @@ from mpmath import mp
 from mpmath import log as _mp_log
 from mpmath import mpf
 
-from .errors import CapExceededError, ToleranceUnachievableError
+from .errors import CapExceededError, CertificateError, ToleranceUnachievableError
 from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate
 from .bounds import q_factor
 from .roots import digits_for, nth_root_lower, nth_root_upper
@@ -101,9 +101,10 @@ def growth_enclosure(
     c_lo = nth_root_lower(x_lo, m, s)
     c_hi = nth_root_upper(x_hi, m, s)
     # the containment contract, checked exactly (cheap next to the roots)
-    assert c_lo ** m <= x_lo
-    assert c_hi ** m >= x_hi
-    assert Fraction(1, 10 ** s) <= rt * c_lo
+    if not (c_lo ** m <= x_lo and c_hi ** m >= x_hi):
+        raise CertificateError(f"[{c_lo}, {c_hi}] does not enclose the 2^{l}-th root bracket")
+    if not Fraction(1, 10 ** s) <= rt * c_lo:
+        raise CertificateError(f"grid 10^-{s} is coarser than rtol={rt} at c_lo={c_lo}")
     return GrowthEnclosure(l=l, c_lo=c_lo, c_hi=c_hi, digits=s)
 
 

@@ -7,7 +7,6 @@ would silently lose digits.  parse(serialize(x)) == x exactly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -50,7 +49,3 @@ def canonical_json_bytes(obj) -> bytes:
     """Deterministic JSON bytes: sorted keys, fixed separators, one trailing
     newline.  Identical inputs give identical bytes across runs."""
     return (json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n").encode("utf-8")
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()

@@ -3,7 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from recgrow.cli import run
+from recgrow import DEFAULT_CAP, MATRIX_DEFAULT_CAP
+from recgrow.cli import build_parser, run
 
 F = Fraction
 
@@ -51,6 +52,7 @@ def test_usage_errors_exit_1(capsys):
     assert run(["eval", "--a", "1", "--b", "1"]) == 1  # missing --n
     assert run(["eval", "--a", "1", "--b", "1", "--n", "3", "--bogus"]) == 1
     assert run(["eval", "--a", "x/y", "--b", "1", "--n", "3"]) == 1
+    assert run(["eval", "--a", "1", "--b", "1", "--n", "3", "--cache-dir", "x"]) == 1
     assert run([]) == 1
     capsys.readouterr()
 
@@ -59,6 +61,26 @@ def test_cap_exceeded_exit_3(capsys):
     assert run(["eval", "--a", "1", "--b", "1", "--n", "8", "--cap", "5"]) == 3
     capsys.readouterr()
     assert run(["eval", "--a", "1", "--b", "1", "--n", "8", "--cap", "8"]) == 0
+    capsys.readouterr()
+
+
+def test_cap_defaults_per_subcommand(capsys):
+    ab = ["--a", "1", "--b", "1"]
+    argvs = {
+        "eval": ["eval", *ab, "--n", "3"],
+        "bounds": ["bounds", *ab, "--kmax", "1", "--lmax", "1"],
+        "converge": ["converge", *ab, "--k", "1", "--lmax", "1"],
+        "growth": ["growth", *ab, "--l", "1"],
+        "benchmark": ["benchmark", *ab, "--n", "3"],
+        "general": ["general", "--file", "f.json", "--n", "3"],
+        "matrix": ["matrix", "--file", "f.json", "--n", "3"],
+        "ns": ["ns", "--d", "3", "--n", "3"],
+    }
+    for command, argv in argvs.items():
+        want = MATRIX_DEFAULT_CAP if command == "matrix" else DEFAULT_CAP
+        assert build_parser().parse_args(argv).cap == want, command
+    # the documented default of 30 admits n = 17 without --cap
+    assert run(["eval", *ab, "--n", "17", "--format", "csv"]) == 0
     capsys.readouterr()
 
 
@@ -196,26 +218,6 @@ def test_table_format_smoke(capsys):
     assert run(["eval", "--a", "1", "--b", "9", "--n", "3"]) == 0
     out = capsys.readouterr().out
     assert "7306210" in out and "811802" in out  # values + discrepancy block
-
-
-def test_cache_dir_flag(tmp_path, capsys):
-    argv = ["eval", "--a", "1", "--b", "1", "--n", "6", "--format", "json",
-            "--cache-dir", str(tmp_path)]
-    doc1 = _json_out(capsys, argv)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    doc2 = _json_out(capsys, argv)  # second run served from cache
-    assert doc1 == doc2
-    # corrupt entry surfaces instead of silently recomputing
-    files[0].write_text(files[0].read_text().replace("458330", "458331"))
-    assert run(argv) == 1
-    capsys.readouterr()
-
-
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RECGROW_CACHE_DIR", str(tmp_path))
-    _json_out(capsys, ["eval", "--a", "1", "--b", "9", "--n", "4", "--format", "json"])
-    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_console_entry_point_subprocess():

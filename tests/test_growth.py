@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -148,3 +150,25 @@ def test_rtol_must_be_below_one():
         growth_enclosure(Params(1, 1), 3, 1)
     with pytest.raises(ValueError):
         growth_enclosure(Params(1, 1), 3, "3/2")
+
+
+_BAD_UPPER_ROOT = """
+from fractions import Fraction
+import recgrow.growth as growth
+from recgrow import CertificateError, Params
+
+assert not __debug__
+upper = growth.nth_root_upper
+growth.nth_root_upper = lambda x, n, digits: upper(x, n, digits) - Fraction(1, 10 ** digits)
+try:
+    growth.growth_enclosure(Params(1, 1), 3, "1e-9")
+except CertificateError:
+    print("raised")
+"""
+
+
+def test_enclosure_check_survives_optimize_flag():
+    # a c_hi one grid step low must be caught even with asserts compiled out
+    proc = subprocess.run([sys.executable, "-O", "-c", _BAD_UPPER_ROOT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
