@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonIntegerParamsError
+from .errors import CertificateError, NonIntegerParamsError
 from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate
 
 
@@ -147,5 +147,6 @@ def integer_envelope(params: Params, table: SequenceTable, k: int, l: int) -> tu
         )
     lo = lower_bound(params, table, k, l)
     up = upper_bound(params, table, k, l)
-    assert lo.denominator == 1
-    return int(lo), up.numerator // up.denominator
+    if lo.denominator != 1:
+        raise CertificateError(f"lower bound on D({k + l}) is not an integer")
+    return lo.numerator, up.numerator // up.denominator

@@ -7,7 +7,8 @@ JSON reports share the top-level shape
 
 with all big values as exact strings, and are byte-stable for a fixed
 command line.  Exit codes: 0 success, 1 usage error, 2 invalid parameters,
-3 cap or tolerance failure.
+3 cap or tolerance failure, 4 certificate failure (a fault in the library,
+not in the input).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import general as general_mod
 from . import growth as growth_mod
 from . import matrixrec
 from . import nsmodel
-from .errors import CapExceededError, InvalidParamsError, ToleranceUnachievableError
+from .errors import CapExceededError, CertificateError, InvalidParamsError, ToleranceUnachievableError
 from .recurrence import DEFAULT_CAP, Params, evaluate, is_monotone, validate_params
 from .serialize import canonical_json_bytes, decimal_str, frac_str, parse_rational
 
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID_PARAMS = 2
 EXIT_CAP_OR_TOLERANCE = 3
+EXIT_CERTIFICATE = 4
 
 
 class _UsageError(Exception):
@@ -156,7 +158,7 @@ def _discrepancies_for(params: Params) -> list:
             "n": row.n,
             "published": row.published,
             "published_exact": row.published_exact,
-            "recomputed": str(row.recomputed),
+            "recomputed": frac_str(row.recomputed),
             "matches": row.matches,
         }
         for row in nsmodel.published_3d_discrepancies()
@@ -270,7 +272,7 @@ def _cmd_benchmark(args) -> Report:
         {
             "n": r.n,
             "value": frac_str(r.value),
-            "benchmark": str(r.benchmark),
+            "benchmark": frac_str(r.benchmark),
             "dominates": r.dominates,
         }
         for r in rows
@@ -429,14 +431,15 @@ def _cmd_ns(args) -> Report:
     model = nsmodel.NsModel(d=args.d, iterations=args.n, bytes_per_term=args.bytes_per_term)
     projection = nsmodel.cost_projection(model, budget=args.budget, cap=args.cap)
     rows = [
-        {"n": r.n, "terms": str(r.terms), "projected_bytes": str(r.projected_bytes)}
+        {"n": r.n, "terms": frac_str(r.terms), "projected_bytes": frac_str(r.projected_bytes)}
         for r in projection.rows
     ]
+    budget = None if projection.budget is None else frac_str(projection.budget)
     return Report(
         command="ns",
         params={"d": model.d, "iterations": model.iterations, "bytes_per_term": model.bytes_per_term},
         results={
-            "budget": None if projection.budget is None else str(projection.budget),
+            "budget": budget,
             "first_over_budget": projection.first_over_budget,
             "rows": rows,
         },
@@ -444,11 +447,8 @@ def _cmd_ns(args) -> Report:
         csv_rows=[[r["n"], r["terms"], r["projected_bytes"]] for r in rows],
         table_lines=(
             []
-            if projection.budget is None
-            else [
-                f"budget = {projection.budget}",
-                f"first_over_budget = {projection.first_over_budget}",
-            ]
+            if budget is None
+            else [f"budget = {budget}", f"first_over_budget = {projection.first_over_budget}"]
         ),
         discrepancies=_discrepancies_for(Params(1, args.d * args.d, 1)),
     )
@@ -555,6 +555,9 @@ def run(argv) -> int:
     except (CapExceededError, ToleranceUnachievableError) as exc:
         print(f"recgrow: {exc}", file=sys.stderr)
         return EXIT_CAP_OR_TOLERANCE
+    except CertificateError as exc:
+        print(f"recgrow: certificate failure: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     _emit(report, args.format)
     return EXIT_OK
 

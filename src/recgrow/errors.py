@@ -36,6 +36,6 @@ class NonIntegerParamsError(RecgrowError, ValueError):
 class CertificateError(RecgrowError):
     """A certified inequality failed its exact check.
 
-    This signals a fault in the library, not bad input, so the CLI maps it to
-    neither the invalid-parameter nor the cap/tolerance exit code.
+    This signals a fault in the library, not bad input, so the CLI reports it
+    with its own exit code (4), never as invalid parameters or a cap failure.
     """

@@ -24,6 +24,7 @@ from typing import Union
 from .errors import ToleranceUnachievableError
 from .recurrence import ValidationReport, as_fraction
 from .roots import pow_lower, pow_upper
+from .serialize import frac_str
 
 DEFAULT_ROOT_DIGITS = 40
 
@@ -132,9 +133,9 @@ def verify_sandwich(pn: PowerNonlinearity, z_samples, n_range) -> ValidationRepo
             fv = f ** v
             low, high = pn.c1 ** v * zu, pn.c2 ** v * zu
             if fv < low:
-                violations.append((f"C1*z^(1+delta) <= F at n={n}, z={z}", low - fv))
+                violations.append((f"C1*z^(1+delta) <= F at n={n}, z={frac_str(z)}", low - fv))
             if fv > high:
-                violations.append((f"F <= C2*z^(1+delta) at n={n}, z={z}", fv - high))
+                violations.append((f"F <= C2*z^(1+delta) at n={n}, z={frac_str(z)}", fv - high))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -169,7 +170,7 @@ def envelope(pn: PowerNonlinearity, d0, n_max: int, root_digits: int = DEFAULT_R
         up = pn.c2 * pow_upper(upper[-1], e, root_digits)
         if lo < 1:
             raise ValueError(
-                f"lower envelope left the z >= 1 regime at step {n + 1} (L={lo}); "
+                f"lower envelope left the z >= 1 regime at step {n + 1} (L={frac_str(lo)}); "
                 f"increase C1, the seed, or root_digits"
             )
         lower.append(lo)

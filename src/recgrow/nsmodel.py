@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .errors import CertificateError
 from .recurrence import DEFAULT_CAP, Params, evaluate
 
 
@@ -29,8 +30,9 @@ def term_count(d: int, n: int, cap: int = DEFAULT_CAP) -> int:
     """Independent summands in the n-th iterate for spatial dimension d."""
     table = evaluate(_params_for(d), n, cap=cap)
     value = table[n]
-    assert value.denominator == 1
-    return int(value)
+    if value.denominator != 1:
+        raise CertificateError(f"term count D({n}) for d={d} is not an integer")
+    return value.numerator
 
 
 def summand_budget(d: int, n: int, cap: int = DEFAULT_CAP) -> int:

@@ -3,46 +3,110 @@
 Big values always travel as base-10 strings ("p/q" or plain digits), never as
 native numbers: terms outgrow machine words immediately and JSON numbers
 would silently lose digits.  parse(serialize(x)) == x exactly.
+
+CPython before 3.12 converts between ints and decimal text in quadratic time,
+and refuses ints longer than ``sys.get_int_max_str_digits()`` digits.  Huge
+integers are therefore converted by divide and conquer (Brent and Zimmermann,
+*Modern Computer Arithmetic*, 2010, section 1.7): rendering splits an int by
+bit position and joins the halves in the C ``decimal`` module, whose
+multiplication is subquadratic; parsing splits the digit string and joins the
+halves with Karatsuba int multiplication.  Only pieces far below the limit
+reach ``str()`` and ``int()``, so the interpreter-wide limit is never changed.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
-import sys
+import re
 from fractions import Fraction
 
+# pieces this small (about 1200 digits) are converted by str() and int()
+_LEAF_BITS = 4000
+_LEAF_DIGITS = 1200
 
-def ensure_big_int_str(digits: int = 100_000_000) -> None:
-    """Lift the interpreter's int->str conversion limit to cover huge terms."""
-    if sys.get_int_max_str_digits() < digits:
-        sys.set_int_max_str_digits(digits)
+# "p", "p/q" or "i.f", optionally signed: the forms whose digits may be long
+_DIGIT_FORMS = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
-def frac_str(x: Fraction) -> str:
+def _int_str(n: int) -> str:
+    """Decimal digits of ``n``, in subquadratic time for huge ``n``."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _LEAF_BITS:
+        return str(n)
+    # integer operands keep exponent 0; a trap turns any rounding into an error
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow],
+    )
+    powers = {}
+
+    def power_of_two(w: int) -> decimal.Decimal:
+        if w not in powers:
+            if w <= _LEAF_BITS:
+                powers[w] = decimal.Decimal(1 << w)
+            else:
+                half = power_of_two(w >> 1)
+                square = ctx.multiply(half, half)
+                powers[w] = ctx.multiply(square, 2) if w & 1 else square
+        return powers[w]
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        # n < 2^w; splitting by the nominal width w, not n's bit length,
+        # keeps the widths per level to two, so the powers cache stays small
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(n)
+        w2 = w >> 1
+        hi = n >> w2
+        return ctx.fma(convert(hi, w - w2), power_of_two(w2), convert(n - (hi << w2), w2))
+
+    return str(convert(n, n.bit_length()))
+
+
+def _parse_digits(text: str, powers: dict) -> int:
+    """Value of a string of ASCII digits, in subquadratic time for long ones."""
+    if len(text) <= _LEAF_DIGITS:
+        return int(text)
+    k = len(text) >> 1
+    if k not in powers:
+        powers[k] = 10 ** k
+    return _parse_digits(text[:-k], powers) * powers[k] + _parse_digits(text[-k:], powers)
+
+
+def frac_str(x: Fraction | int) -> str:
     """Canonical exact rendering: "p" for integers, "p/q" otherwise."""
-    ensure_big_int_str()
-    return str(x)
+    p = _int_str(x.numerator)
+    return p if x.denominator == 1 else f"{p}/{_int_str(x.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:
     """Exact inverse of :func:`frac_str`; also accepts decimal strings."""
-    ensure_big_int_str()
-    return Fraction(text.strip())
+    text = text.strip()
+    match = _DIGIT_FORMS.fullmatch(text) if len(text) > _LEAF_DIGITS else None
+    if match is None:
+        return Fraction(text)
+    sign, whole, den, frac = match.groups()
+    powers = {}
+    if frac is not None:
+        value = Fraction(_parse_digits(whole + frac, powers), 10 ** len(frac))
+    else:
+        value = Fraction(_parse_digits(whole, powers), 1 if den is None else _parse_digits(den, powers))
+    return -value if sign == "-" else value
 
 
 def decimal_str(x: Fraction, digits: int) -> str:
     """Exact fixed-point rendering of a value on the 10^-digits grid."""
-    ensure_big_int_str()
     scaled = x * 10 ** digits
     if scaled.denominator != 1:
-        raise ValueError(f"{x} is not on the 10^-{digits} grid")
-    n = int(scaled)
+        raise ValueError(f"{frac_str(x)} is not on the 10^-{digits} grid")
+    n = scaled.numerator
     sign = "-" if n < 0 else ""
-    n = abs(n)
+    text = _int_str(abs(n)).rjust(digits + 1, "0")
     if digits == 0:
-        return sign + str(n)
-    whole, frac = divmod(n, 10 ** digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+        return sign + text
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
 def canonical_json_bytes(obj) -> bytes:

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -199,3 +201,25 @@ def test_l_must_be_positive():
                lambda: ratio(p, table, 2, 0)):
         with pytest.raises(ValueError):
             fn()
+
+
+_NON_INTEGER_LOWER = """
+from fractions import Fraction
+import recgrow.bounds as bounds
+from recgrow import CertificateError, Params, evaluate
+
+assert not __debug__
+lower = bounds.lower_bound
+bounds.lower_bound = lambda *args: lower(*args) + Fraction(1, 2)
+try:
+    bounds.integer_envelope(Params(1, 1), evaluate(Params(1, 1), 3), 2, 1)
+except CertificateError:
+    print("raised")
+"""
+
+
+def test_integer_envelope_check_survives_optimize_flag():
+    # a non-integer lower bound must be caught even with asserts compiled out
+    proc = subprocess.run([sys.executable, "-O", "-c", _NON_INTEGER_LOWER], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"

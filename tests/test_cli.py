@@ -3,8 +3,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from recgrow import DEFAULT_CAP, MATRIX_DEFAULT_CAP
+import recgrow.growth as growth_mod
+from recgrow import DEFAULT_CAP, MATRIX_DEFAULT_CAP, term_count
 from recgrow.cli import build_parser, run
+from recgrow.serialize import parse_rational
 
 F = Fraction
 
@@ -233,3 +235,26 @@ def test_console_entry_point_subprocess():
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_certificate_failure_exit_4(capsys, monkeypatch):
+    # a c_hi one grid step low breaks the enclosure: a library fault, not bad input
+    upper = growth_mod.nth_root_upper
+    monkeypatch.setattr(growth_mod, "nth_root_upper", lambda x, n, digits: upper(x, n, digits) - F(1, 10**digits))
+    assert run(["growth", "--a", "1", "--b", "1", "--l", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("recgrow: certificate failure: ")
+
+
+def test_ns_deep_subprocess():
+    # D(13) for d = 3 has over 4300 digits, the interpreter's default str() limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "recgrow.cli", "ns", "--d", "3", "--n", "13", "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout)["results"]["rows"][-1]
+    assert last["n"] == 13
+    assert parse_rational(last["terms"]) == term_count(3, 13)

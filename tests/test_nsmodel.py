@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from recgrow import (
@@ -90,3 +93,25 @@ def test_dimension_maps_to_squared_coefficient():
     table = evaluate(Params(1, 4), 6)
     for n in range(7):
         assert term_count(2, n) == table[n]
+
+
+_NON_INTEGER_TERM = """
+from fractions import Fraction
+import recgrow.nsmodel as nsmodel
+from recgrow import CertificateError
+
+assert not __debug__
+evaluate = nsmodel.evaluate
+nsmodel.evaluate = lambda params, n, cap: [v + Fraction(1, 2) for v in evaluate(params, n, cap=cap).values]
+try:
+    nsmodel.term_count(3, 2)
+except CertificateError:
+    print("raised")
+"""
+
+
+def test_term_count_check_survives_optimize_flag():
+    # a non-integer term count must be caught even with asserts compiled out
+    proc = subprocess.run([sys.executable, "-O", "-c", _NON_INTEGER_TERM], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"

@@ -1,9 +1,15 @@
+import contextlib
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recgrow import Params, evaluate
-from recgrow.serialize import decimal_str, frac_str, parse_rational
+from recgrow.serialize import _LEAF_BITS, decimal_str, frac_str, parse_rational
 
 F = Fraction
 
@@ -27,3 +33,84 @@ def test_decimal_str():
     assert decimal_str(F(-1, 100), 3) == "-0.010"
     with pytest.raises(ValueError):
         decimal_str(F(1, 3), 5)
+
+
+@contextlib.contextmanager
+def _unlimited_str():
+    """Lift the interpreter's digit limit so str() can serve as the reference."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# ints of leaf-1, leaf and leaf+1 bits, at the first split level and the
+# next, then 10^k and 10^k - 1 for k from one leaf (~1200 digits) to 32 leaves
+_EDGES = [
+    x
+    for bits in (_LEAF_BITS - 1, _LEAF_BITS, _LEAF_BITS + 1, 2 * _LEAF_BITS, 2 * _LEAF_BITS + 1)
+    for x in (1 << (bits - 1), (1 << bits) - 1)
+] + [x for k in (1204, 2408, 4816, 9632, 19264, 38528) for x in (10**k, 10**k - 1)]
+
+_MAGNITUDES = st.one_of(
+    st.just(0),
+    st.sampled_from(_EDGES),
+    st.builds(lambda w, seed: random.Random(seed).getrandbits(w), st.integers(1, 300_000), st.integers(0, 2**32)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(magnitude=_MAGNITUDES, negative=st.booleans())
+def test_frac_str_matches_str(magnitude, negative):
+    n = -magnitude if negative else magnitude
+    with _unlimited_str():
+        expect = str(n)
+    assert frac_str(n) == expect
+    assert frac_str(F(n)) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(magnitude=_MAGNITUDES, negative=st.booleans(), digits=st.sampled_from((0, 1, 30, 1199, 1200, 1201, 5000)))
+def test_decimal_str_matches_str(magnitude, negative, digits):
+    n = -magnitude if negative else magnitude
+    with _unlimited_str():
+        whole, frac = divmod(magnitude, 10**digits)
+        expect = ("-" if negative and n else "") + (f"{whole}.{str(frac).zfill(digits)}" if digits else str(whole))
+    x = F(n, 10**digits)
+    assert decimal_str(x, digits) == expect
+    assert parse_rational(expect) == x
+
+
+@settings(max_examples=30, deadline=None)
+@given(num=_MAGNITUDES, den=_MAGNITUDES.filter(bool), negative=st.booleans())
+def test_parse_inverts_frac_str(num, den, negative):
+    x = F(-num if negative else num, den)
+    assert parse_rational(frac_str(x)) == x
+
+
+_FIXED_LIMIT = """
+import contextlib, io, json, sys
+from fractions import Fraction
+from recgrow import Params, evaluate
+from recgrow.cli import run
+from recgrow.serialize import frac_str, parse_rational
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = run(["eval", "--a", "1", "--b", "1", "--n", "16", "--format", "json"])
+top = json.loads(out.getvalue())["results"]["values"][-1]  # ~11,600 digits
+x = Fraction(10 ** 9999 + 7, 3 ** 20958)  # 10,000-digit numerator and denominator
+print(code, parse_rational(top) == evaluate(Params(1, 1), 16)[16], parse_rational(frac_str(x)) == x)
+print(sys.get_int_max_str_digits())
+"""
+
+
+def test_big_values_under_default_int_limit():
+    # huge values render and parse without lifting the interpreter-wide limit
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-c", _FIXED_LIMIT], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True True\n4300\n"
