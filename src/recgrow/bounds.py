@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import CertificateError, NonIntegerParamsError
 from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate
+from .serialize import frac_str
 
 
 def _check_index(table: SequenceTable, n: int, what: str) -> None:
@@ -143,7 +144,7 @@ def integer_envelope(params: Params, table: SequenceTable, k: int, l: int) -> tu
     """
     if not params.is_integer():
         raise NonIntegerParamsError(
-            f"integer envelope needs integer a, b, d0; got ({params.a}, {params.b}, {params.d0})"
+            f"integer envelope needs integer a, b, d0; got ({frac_str(params.a)}, {frac_str(params.b)}, {frac_str(params.d0)})"
         )
     lo = lower_bound(params, table, k, l)
     up = upper_bound(params, table, k, l)

@@ -329,7 +329,7 @@ def _coeff_json(coeffs):
 def _cmd_general(args) -> Report:
     pn, d0 = _family_from_doc(_load_json_file(args.file))
     if d0 < 1:
-        raise ValueError(f"seed must be >= 1, got {d0}")
+        raise ValueError(f"seed must be >= 1, got {frac_str(d0)}")
     orbit = general_mod.iterate_family(pn.family, d0, args.n)
     samples = sorted(set(orbit) | {Fraction(1)})
     sandwich = general_mod.verify_sandwich(pn, samples, range(args.n))

@@ -92,9 +92,9 @@ class PowerNonlinearity:
         object.__setattr__(self, "c2", as_fraction(self.c2))
         object.__setattr__(self, "delta", as_fraction(self.delta))
         if not 0 < self.c1 <= self.c2:
-            raise ValueError(f"need 0 < C1 <= C2, got C1={self.c1}, C2={self.c2}")
+            raise ValueError(f"need 0 < C1 <= C2, got C1={frac_str(self.c1)}, C2={frac_str(self.c2)}")
         if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            raise ValueError(f"delta must be positive, got {frac_str(self.delta)}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def envelope(pn: PowerNonlinearity, d0, n_max: int, root_digits: int = DEFAULT_R
     """
     seed = as_fraction(d0)
     if seed < 1:
-        raise ValueError(f"seed must be >= 1, got {seed}")
+        raise ValueError(f"seed must be >= 1, got {frac_str(seed)}")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     e = 1 + pn.delta
@@ -191,7 +191,7 @@ def closed_form_lower(
     """
     z = as_fraction(l_value)
     if z < 1:
-        raise ValueError(f"l_value must be >= 1, got {z}")
+        raise ValueError(f"l_value must be >= 1, got {frac_str(z)}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     e = 1 + pn.delta

@@ -24,6 +24,7 @@ from .errors import CapExceededError, CertificateError, ToleranceUnachievableErr
 from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate
 from .bounds import q_factor
 from .roots import digits_for, nth_root_lower, nth_root_upper
+from .serialize import frac_str
 
 #: Finest relative tolerance the enclosure contract accepts.
 MIN_RTOL = Fraction(1, 10 ** 30)
@@ -73,7 +74,7 @@ def growth_enclosure(
         raise ValueError(f"l must be >= 1, got {l}")
     rt = _as_tolerance(rtol)
     if not MIN_RTOL <= rt < 1:
-        raise ValueError(f"rtol must lie in [{MIN_RTOL}, 1), got {rt}")
+        raise ValueError(f"rtol must lie in [{MIN_RTOL}, 1), got {frac_str(rt)}")
     table = evaluate(params, l, cap=cap)
     m = 2 ** l
     x_lo = params.b * table[l]
@@ -102,9 +103,9 @@ def growth_enclosure(
     c_hi = nth_root_upper(x_hi, m, s)
     # the containment contract, checked exactly (cheap next to the roots)
     if not (c_lo ** m <= x_lo and c_hi ** m >= x_hi):
-        raise CertificateError(f"[{c_lo}, {c_hi}] does not enclose the 2^{l}-th root bracket")
+        raise CertificateError(f"[{frac_str(c_lo)}, {frac_str(c_hi)}] does not enclose the 2^{l}-th root bracket")
     if not Fraction(1, 10 ** s) <= rt * c_lo:
-        raise CertificateError(f"grid 10^-{s} is coarser than rtol={rt} at c_lo={c_lo}")
+        raise CertificateError(f"grid 10^-{s} is coarser than rtol={frac_str(rt)} at c_lo={frac_str(c_lo)}")
     return GrowthEnclosure(l=l, c_lo=c_lo, c_hi=c_hi, digits=s)
 
 
@@ -146,7 +147,7 @@ def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
         raise ValueError("rtol must be positive")
     x = table.params.b * table[n]
     if x <= 1:
-        raise ValueError(f"b*D(n) must exceed 1 for the double log, got {x}")
+        raise ValueError(f"b*D(n) must exceed 1 for the double log, got {frac_str(x)}")
 
     def one_pass(prec: int) -> Fraction:
         with mp.workprec(prec):
@@ -162,7 +163,7 @@ def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
         if abs(cur - prev) <= rt * abs(cur) / 2:
             return cur
         prev = cur
-    raise ToleranceUnachievableError(f"log-log index did not stabilize to rtol={rt}")
+    raise ToleranceUnachievableError(f"log-log index did not stabilize to rtol={frac_str(rt)}")
 
 
 def doubling_benchmark(n: int, cap: int = DEFAULT_CAP) -> int:
@@ -200,7 +201,7 @@ def compare_to_benchmark(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> 
     ):
         raise ValueError(
             f"benchmark comparison needs integer a, b >= 1 and d0 >= 1; "
-            f"got ({params.a}, {params.b}, {params.d0})"
+            f"got ({frac_str(params.a)}, {frac_str(params.b)}, {frac_str(params.d0)})"
         )
     table = evaluate(params, n_max, cap=cap)
     rows = []

@@ -9,9 +9,10 @@ and refuses ints longer than ``sys.get_int_max_str_digits()`` digits.  Huge
 integers are therefore converted by divide and conquer (Brent and Zimmermann,
 *Modern Computer Arithmetic*, 2010, section 1.7): rendering splits an int by
 bit position and joins the halves in the C ``decimal`` module, whose
-multiplication is subquadratic; parsing splits the digit string and joins the
-halves with Karatsuba int multiplication.  Only pieces far below the limit
-reach ``str()`` and ``int()``, so the interpreter-wide limit is never changed.
+multiplication is subquadratic; parsing splits each digit run and joins the
+halves with Karatsuba int multiplication (reducing the parsed fraction with
+``math.gcd`` stays quadratic).  Only pieces far below the limit reach
+``str()`` and ``int()``, so the interpreter-wide limit is never changed.
 """
 
 from __future__ import annotations
@@ -25,8 +26,13 @@ from fractions import Fraction
 _LEAF_BITS = 4000
 _LEAF_DIGITS = 1200
 
-# "p", "p/q" or "i.f", optionally signed: the forms whose digits may be long
-_DIGIT_FORMS = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+# the string grammar of Fraction: an optionally signed "p", "p/q", or decimal
+# with optional whole or fraction digits and an optional exponent; single
+# underscores may separate digits
+_DIGITS = r"(?:\d+(?:_\d+)*)"
+_RATIONAL = re.compile(
+    rf"([-+]?)(?=\d|\.\d)({_DIGITS}?)(?:/({_DIGITS})|(?:\.({_DIGITS}?))?(?:[eE]([-+]?{_DIGITS}))?)"
+)
 
 
 def _int_str(n: int) -> str:
@@ -82,18 +88,22 @@ def frac_str(x: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact inverse of :func:`frac_str`; also accepts decimal strings."""
-    text = text.strip()
-    match = _DIGIT_FORMS.fullmatch(text) if len(text) > _LEAF_DIGITS else None
+    """Exact inverse of :func:`frac_str`; accepts every string Fraction does."""
+    match = _RATIONAL.fullmatch(text.strip())
     if match is None:
-        return Fraction(text)
-    sign, whole, den, frac = match.groups()
+        return Fraction(text)  # raises Fraction's own error
+    sign, whole, den, frac, exp = (g and g.replace("_", "") for g in match.groups())
     powers = {}
-    if frac is not None:
-        value = Fraction(_parse_digits(whole + frac, powers), 10 ** len(frac))
+    if den is not None:
+        p, q = _parse_digits(whole, powers), _parse_digits(den, powers)
+        if q == 0:
+            raise ZeroDivisionError(f"Fraction({frac_str(p)}, 0)")
     else:
-        value = Fraction(_parse_digits(whole, powers), 1 if den is None else _parse_digits(den, powers))
-    return -value if sign == "-" else value
+        frac = frac or ""
+        p = _parse_digits(whole + frac, powers)
+        shift = (int(exp) if exp else 0) - len(frac)
+        p, q = (p * 10 ** shift, 1) if shift >= 0 else (p, 10 ** -shift)
+    return Fraction(-p if sign == "-" else p, q)
 
 
 def decimal_str(x: Fraction, digits: int) -> str:

@@ -247,6 +247,19 @@ def test_certificate_failure_exit_4(capsys, monkeypatch):
     assert captured.err.startswith("recgrow: certificate failure: ")
 
 
+
+def test_huge_rtol_error_renders_exactly():
+    # a 5000-digit denominator is reported in the range message, not as a digit-limit error
+    rtol = "1/" + "1" * 5000
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-m", "recgrow.cli"]
+        + ["growth", "--a", "1", "--b", "1", "--l", "3", "--rtol", rtol],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"recgrow: invalid parameters: rtol must lie in [{F(1, 10**30)}, 1), got {rtol}\n"
+
 def test_ns_deep_subprocess():
     # D(13) for d = 3 has over 4300 digits, the interpreter's default str() limit
     proc = subprocess.run(

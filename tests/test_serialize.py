@@ -90,6 +90,59 @@ def test_parse_inverts_frac_str(num, den, negative):
     assert parse_rational(frac_str(x)) == x
 
 
+
+@pytest.mark.parametrize(
+    "text", ["7", "-3/7", " 2/4 ", "1.5", ".5", "1.", "+.5E+3", "1e-12", "1_000.000_1e1_0", "\u0661\u0662/3"]
+)
+def test_parse_accepts_fraction_grammar(text):
+    assert parse_rational(text) == F(text)
+
+
+@pytest.mark.parametrize("text", ["", ".", "1e", "1__0", "1._5", "1/_2", "1.5/2", "1 / 2", "x/y"])
+def test_parse_rejects_what_fraction_rejects(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
+
+
+_LONG_FORMS = """
+import contextlib, io, json
+from fractions import Fraction
+from recgrow.cli import run
+from recgrow.serialize import parse_rational
+
+ones = "1" * 5000
+r = (10 ** 5000 - 1) // 9  # the int whose 5000 digits are all 1
+d0 = Fraction(10 ** 5000 + r, 10 ** 5000)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = run(["eval", "--a", "1", "--b", "1", "--d0", "1." + ones + "e0", "--n", "0", "--format", "json"])
+try:
+    parse_rational(ones + "/0")
+    zero = "parsed"
+except ZeroDivisionError:
+    zero = "ZeroDivisionError"
+print(
+    code,
+    parse_rational(json.loads(out.getvalue())["results"]["values"][0]) == d0,
+    parse_rational("." + ones) == Fraction(r, 10 ** 5000),
+    parse_rational("-1." + ones + "e0") == -d0,
+    parse_rational(ones + "E-3") == Fraction(r, 1000),
+    parse_rational(ones[:2500] + "_" + ones[2500:]) == r,
+    zero,
+)
+"""
+
+
+def test_long_decimal_forms_under_default_int_limit():
+    # exponent, leading-dot and underscore forms parse at any length, as Fraction's grammar allows
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-c", _LONG_FORMS], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True True True True True ZeroDivisionError\n"
+
 _FIXED_LIMIT = """
 import contextlib, io, json, sys
 from fractions import Fraction
