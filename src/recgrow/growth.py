@@ -6,8 +6,10 @@ that C = lim (b*D(n))^(1/2^n) exists and satisfies, for every witness index l,
     (b*D(l))^(1/2^l)  <=  C  <=  (b*D(l)*Q(l))^(1/2^l).
 
 :func:`growth_enclosure` turns one such bracket into decimal endpoints with
-outward rounding, so the reported interval still provably contains C; the
-endpoints certify themselves by exact re-exponentiation.  b*D(n) grows like
+outward rounding, so the reported interval still provably contains C.  Each
+endpoint's 2^l-th power is compared with the bracket by
+:func:`~recgrow.roots.pow2_cmp` (outward-rounded integer squarings with an
+exact fallback), so the check never forms a 2^l x digits number.  b*D(n) grows like
 C^(2^n), i.e. log2(ln(b*D(n)))/n -> 1, which :func:`log_log_index` tracks.
 """
 
@@ -23,13 +25,14 @@ from mpmath import mpf
 from .errors import CapExceededError, CertificateError, ToleranceUnachievableError
 from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate
 from .bounds import q_factor
-from .roots import digits_for, nth_root_lower, nth_root_upper
+from .roots import digits_for, nth_root_lower, nth_root_upper, pow2_cmp
 from .serialize import frac_str
 
 #: Finest relative tolerance the enclosure contract accepts.
 MIN_RTOL = Fraction(1, 10 ** 30)
 
-#: Budget on the scaled-radicand size (decimal digits) per root extraction.
+#: Budget per root extraction on 2^l * digits, the decimal size of the exactly
+#: scaled radicand x * 10^(digits * 2^l), which is never built.
 DEFAULT_MAX_DIGITS = 2_000_000
 
 
@@ -101,8 +104,8 @@ def growth_enclosure(
     s = _budget(digits_for(target))
     c_lo = nth_root_lower(x_lo, m, s)
     c_hi = nth_root_upper(x_hi, m, s)
-    # the containment contract, checked exactly (cheap next to the roots)
-    if not (c_lo ** m <= x_lo and c_hi ** m >= x_hi):
+    # the containment contract, checked again on the returned endpoints
+    if not (pow2_cmp(c_lo, l, x_lo) <= 0 and pow2_cmp(c_hi, l, x_hi) >= 0):
         raise CertificateError(f"[{frac_str(c_lo)}, {frac_str(c_hi)}] does not enclose the 2^{l}-th root bracket")
     if not Fraction(1, 10 ** s) <= rt * c_lo:
         raise CertificateError(f"grid 10^-{s} is coarser than rtol={frac_str(rt)} at c_lo={frac_str(c_lo)}")

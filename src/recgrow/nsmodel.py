@@ -26,13 +26,16 @@ def _params_for(d: int) -> Params:
     return Params(a=Fraction(1), b=Fraction(d * d), d0=Fraction(1))
 
 
-def term_count(d: int, n: int, cap: int = DEFAULT_CAP) -> int:
-    """Independent summands in the n-th iterate for spatial dimension d."""
-    table = evaluate(_params_for(d), n, cap=cap)
+def _integer_term(table, d: int, n: int) -> int:
     value = table[n]
     if value.denominator != 1:
         raise CertificateError(f"term count D({n}) for d={d} is not an integer")
     return value.numerator
+
+
+def term_count(d: int, n: int, cap: int = DEFAULT_CAP) -> int:
+    """Independent summands in the n-th iterate for spatial dimension d."""
+    return _integer_term(evaluate(_params_for(d), n, cap=cap), d, n)
 
 
 def summand_budget(d: int, n: int, cap: int = DEFAULT_CAP) -> int:
@@ -85,7 +88,7 @@ def cost_projection(model: NsModel, budget: Optional[int] = None, cap: int = DEF
     rows = []
     first_over = None
     for n in range(1, model.iterations + 1):
-        terms = int(table[n])
+        terms = _integer_term(table, model.d, n)
         projected = terms * model.bytes_per_term
         rows.append(CostRow(n=n, terms=terms, projected_bytes=projected))
         if budget is not None and first_over is None and projected > budget:

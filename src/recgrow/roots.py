@@ -4,9 +4,12 @@ The primitives here return Fractions of the form r / 10^digits that bracket
 an irrational root from one side, with the defining inequality (r/10^s)^n <= x
 or >= x holding *exactly*.  Each bound is also within one grid ulp of the true
 root, so callers control accuracy purely through ``digits``.  Correctness
-never depends on floating point: floors come from integer square/Newton
-roots, and every endpoint can be re-raised to its power and compared in
-exact rational arithmetic.
+never depends on floating point.  For n = 2^l a candidate comes from l integer
+square roots of a mantissa-exponent pair, and :func:`pow2_cmp` certifies it:
+the l squarings of its numerator and denominator are rounded outward to
+integer brackets that decide the comparison with x, falling back to exact
+squarings when they do not.  Other orders take floor/ceiling integer Newton
+roots of the exactly scaled radicand x * 10^(digits*n).
 """
 
 from __future__ import annotations
@@ -61,16 +64,108 @@ def ceil_nth_root(x: int, n: int) -> int:
     return r if r ** n == x else r + 1
 
 
+#: Bits kept beyond the operands' own size by the candidate and the brackets.
+_GUARD_BITS = 64
+
+
+def _pow2_bracket(v: int, l: int, prec: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= v^(2^l) <= hi * 2^e, for v >= 0.
+
+    Each of the l squarings is cut back to about ``prec`` bits, by a floor
+    shift for lo and a ceiling shift for hi, so lo == hi exactly when no
+    squaring was rounded.
+    """
+    lo = hi = v
+    e = 0
+    for _ in range(l):
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        drop = hi.bit_length() - prec
+        if drop > 0:
+            lo >>= drop
+            hi = -(-hi >> drop)
+            e += drop
+    return lo, hi, e
+
+
+def _cmp_scaled(a: int, ea: int, b: int, eb: int) -> int:
+    """sign(a * 2^ea - b * 2^eb)."""
+    if ea >= eb:
+        a <<= ea - eb
+    else:
+        b <<= eb - ea
+    return (a > b) - (a < b)
+
+
+def pow2_cmp(base: Fraction, l: int, x: Fraction) -> int:
+    """sign(base^(2^l) - x) for base, x >= 0, without forming base^(2^l).
+
+    With base = p/q and x = X/Y this is the sign of p^(2^l)*Y - q^(2^l)*X.
+    Both powers are bracketed by :func:`_pow2_bracket` and the brackets are
+    cross-multiplied with X and Y.  While they overlap the precision doubles;
+    it ends exact once no squaring rounds, so equality is decided too.
+    """
+    p, q = base.numerator, base.denominator
+    big_x, big_y = x.numerator, x.denominator
+    prec = max(p.bit_length(), q.bit_length()) + _GUARD_BITS
+    while True:
+        p_lo, p_hi, ep = _pow2_bracket(p, l, prec)
+        q_lo, q_hi, eq = _pow2_bracket(q, l, prec)
+        if _cmp_scaled(p_hi * big_y, ep, q_lo * big_x, eq) < 0:
+            return -1
+        if _cmp_scaled(p_lo * big_y, ep, q_hi * big_x, eq) > 0:
+            return 1
+        if p_lo == p_hi and q_lo == q_hi:
+            return 0
+        prec *= 2
+
+
+def _pow2_root_candidate(x: Fraction, l: int, digits: int) -> int:
+    """An estimate of floor(x^(1/2^l) * 10^digits), within a grid step or two.
+
+    l floor square roots of a mantissa-exponent pair m * 2^e ~ x.  The working
+    precision is sized from the root's magnitude, so the estimate is as good
+    for a huge x as for a small one.
+    """
+    num, den = x.numerator, x.denominator
+    log2_x = num.bit_length() - den.bit_length()  # within 1 of log2(x)
+    prec = max(0, (log2_x >> l) + digits * 10 // 3) + _GUARD_BITS
+    shift = 2 * prec - log2_x
+    m = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    e = -shift
+    for _ in range(l):
+        # back to 2*prec bits with an even exponent, so the root keeps prec bits
+        t = 2 * prec - m.bit_length()
+        t += (e - t) & 1
+        m = m << t if t >= 0 else m >> -t
+        m, e = math.isqrt(m), (e - t) // 2
+    r = m * 10 ** digits
+    return r << e if e >= 0 else r >> -e
+
+
+def _check_root_args(x: Fraction, n: int) -> None:
+    if x < 0:
+        raise ValueError("negative radicand")
+    if n < 1:
+        raise ValueError("root order must be >= 1")
+
+
 def nth_root_lower(x: Fraction, n: int, digits: int) -> Fraction:
     """Largest grid point r/10^digits with (r/10^digits)^n <= x.
 
     The true root lies in [result, result + 10^-digits).
     """
-    if x < 0:
-        raise ValueError("negative radicand")
+    _check_root_args(x, n)
     scale = 10 ** digits
-    scaled = (x.numerator * scale ** n) // x.denominator
-    return Fraction(floor_nth_root(scaled, n), scale)
+    if n & (n - 1):
+        scaled = (x.numerator * scale ** n) // x.denominator
+        return Fraction(floor_nth_root(scaled, n), scale)
+    l = n.bit_length() - 1
+    r = _pow2_root_candidate(x, l, digits)
+    while r > 0 and pow2_cmp(Fraction(r, scale), l, x) > 0:
+        r -= 1
+    while pow2_cmp(Fraction(r + 1, scale), l, x) <= 0:
+        r += 1
+    return Fraction(r, scale)
 
 
 def nth_root_upper(x: Fraction, n: int, digits: int) -> Fraction:
@@ -78,12 +173,19 @@ def nth_root_upper(x: Fraction, n: int, digits: int) -> Fraction:
 
     The true root lies in (result - 10^-digits, result].
     """
-    if x < 0:
-        raise ValueError("negative radicand")
+    _check_root_args(x, n)
     scale = 10 ** digits
-    num = x.numerator * scale ** n
-    scaled = -((-num) // x.denominator)  # ceil division
-    return Fraction(ceil_nth_root(scaled, n), scale)
+    if n & (n - 1):
+        num = x.numerator * scale ** n
+        scaled = -((-num) // x.denominator)  # ceil division
+        return Fraction(ceil_nth_root(scaled, n), scale)
+    l = n.bit_length() - 1
+    t = _pow2_root_candidate(x, l, digits) + 1
+    while pow2_cmp(Fraction(t, scale), l, x) < 0:
+        t += 1
+    while t > 0 and pow2_cmp(Fraction(t - 1, scale), l, x) >= 0:
+        t -= 1
+    return Fraction(t, scale)
 
 
 def pow_lower(x: Fraction, exponent: Fraction, digits: int) -> Fraction:

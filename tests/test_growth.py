@@ -4,6 +4,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from recgrow import (
     CapExceededError,
@@ -150,6 +153,50 @@ def test_rtol_must_be_below_one():
         growth_enclosure(Params(1, 1), 3, 1)
     with pytest.raises(ValueError):
         growth_enclosure(Params(1, 1), 3, "3/2")
+
+
+def _aho_sloane_ln_c(a, b, d0):
+    """ln C = ln(b*d0) + sum_j 2^-(j+1) ln Q(j), Q(j) = 1 + a/(b*D(j)^2), at mp.dps.
+
+    D is nondecreasing when 4ab >= 1, so Q is nonincreasing and the tail after
+    a term is at most that term: stopping below 10^-dps leaves an error under it.
+    """
+    a, b, d = (mpf(v.numerator) / v.denominator for v in (a, b, d0))
+    total = mp.log(b * d)
+    eps = mpf(10) ** -mp.dps
+    weight = mpf(1) / 2
+    while True:
+        term = weight * mp.log(1 + a / (b * d * d))
+        total += term
+        if term < eps:
+            return total
+        d = a + b * d * d
+        weight /= 2
+
+
+_small_fractions = st.builds(F, st.integers(1, 30), st.integers(1, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=_small_fractions,
+    extra=st.builds(F, st.integers(0, 20), st.integers(1, 20)),
+    d0=_small_fractions,
+    l=st.integers(1, 8),
+    rtol=st.sampled_from(["1e-6", "1e-12", "1e-30"]),
+)
+@example(b=F(1), extra=F(0), d0=F(1, 2), l=6, rtol="1e-9")  # fixed point: C = c_hi = 1
+@example(b=F(1), extra=F(3, 4), d0=F(1), l=8, rtol="1e-12")  # a = b = 1
+def test_enclosure_contains_aho_sloane_constant(b, extra, d0, l, rtol):
+    a = 1 / (4 * b) + extra  # 4ab >= 1
+    enc = growth_enclosure(Params(a, b, d0), l, rtol)
+    whole_digits = len(str(enc.c_hi.numerator // enc.c_hi.denominator))
+    with mp.workdps(enc.digits + whole_digits + 20):
+        c = mp.exp(_aho_sloane_ln_c(a, b, d0))
+        slack = mpf(10) ** -(enc.digits + 10)
+        c_lo = mpf(enc.c_lo.numerator) / enc.c_lo.denominator
+        c_hi = mpf(enc.c_hi.numerator) / enc.c_hi.denominator
+        assert c_lo - slack <= c <= c_hi + slack
 
 
 _BAD_UPPER_ROOT = """

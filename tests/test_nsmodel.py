@@ -1,9 +1,12 @@
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+import recgrow.nsmodel as nsmodel
 from recgrow import (
+    CertificateError,
     NsModel,
     Params,
     cost_projection,
@@ -12,6 +15,7 @@ from recgrow import (
     summand_budget,
     term_count,
 )
+from recgrow.cli import run
 
 
 def test_term_count_reference_values():
@@ -115,3 +119,17 @@ def test_term_count_check_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", _NON_INTEGER_TERM], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised\n"
+
+
+def test_cost_projection_rejects_non_integer_terms(monkeypatch, capsys):
+    # a term count off the integers is a library fault: never truncated, exit 4 from the CLI
+    evaluate = nsmodel.evaluate
+    monkeypatch.setattr(
+        nsmodel, "evaluate", lambda params, n, cap: [v + Fraction(1, 2) for v in evaluate(params, n, cap=cap).values]
+    )
+    with pytest.raises(CertificateError):
+        cost_projection(NsModel(3, 3))
+    assert run(["ns", "--d", "2", "--n", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("recgrow: certificate failure: ")

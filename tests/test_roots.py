@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import recgrow.roots as roots
 from recgrow.roots import (
     ceil_nth_root,
     digits_for,
@@ -10,6 +13,7 @@ from recgrow.roots import (
     floor_pow2_root,
     nth_root_lower,
     nth_root_upper,
+    pow2_cmp,
     pow_lower,
     pow_upper,
 )
@@ -98,3 +102,72 @@ def test_digits_for():
     assert digits_for(F(1, 10 ** 500)) == 500
     with pytest.raises(ValueError):
         digits_for(F(0))
+
+
+def _exact_lower(x, n, digits):
+    # the exact-radicand oracle: floor n-th root of x * 10^(digits*n), built in full
+    scale = 10 ** digits
+    return F(floor_nth_root(x.numerator * scale ** n // x.denominator, n), scale)
+
+
+def _exact_upper(x, n, digits):
+    scale = 10 ** digits
+    ceil_scaled = -((-x.numerator * scale ** n) // x.denominator)
+    return F(ceil_nth_root(ceil_scaled, n), scale)
+
+
+@st.composite
+def _pow2_root_cases(draw):
+    """(x, l, digits) with l <= 9: random rationals, and grid points raised to
+    the 2^l-th power and nudged by a tiny amount or not at all."""
+    l = draw(st.integers(0, 9))
+    digits = draw(st.integers(0, 30))
+    magnitude = st.integers(0, 40).map(lambda k: 10 ** k)
+    if draw(st.booleans()):
+        x = F(draw(st.integers(0, draw(magnitude))), draw(st.integers(1, draw(magnitude))))
+    else:
+        r = draw(st.integers(0, 10 ** (digits + 3)))
+        nudge = draw(st.sampled_from([-1, 0, 1])) * F(1, draw(magnitude))
+        x = max(F(0), F(r, 10 ** digits) ** (2 ** l) + nudge)
+    return x, l, digits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pow2_root_cases())
+def test_pow2_roots_match_exact_radicand(case):
+    x, l, digits = case
+    n = 2 ** l
+    assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
+    assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
+
+
+@pytest.mark.parametrize("l", range(10))
+def test_pow2_exact_hits_are_decided_exactly(l):
+    n = 2 ** l
+    for base in (F(3, 2), F(1, 5), F(1)):
+        x = base ** n
+        assert pow2_cmp(base, l, x) == 0
+        nudge = x / 10 ** 50
+        assert pow2_cmp(base, l, x + nudge) == -1
+        assert pow2_cmp(base, l, x - nudge) == 1
+        for digits in (1, 2, 17):
+            assert nth_root_lower(x, n, digits) == base == nth_root_upper(x, n, digits)
+    for digits in (0, 5):
+        assert nth_root_lower(F(0), n, digits) == 0 == nth_root_upper(F(0), n, digits)
+        # root 10^-60, below one grid step
+        tiny = F(1, 10 ** (60 * n))
+        assert nth_root_lower(tiny, n, digits) == 0
+        assert nth_root_upper(tiny, n, digits) == F(1, 10 ** digits)
+
+
+@pytest.mark.parametrize("offset", [-3, 3])
+def test_pow2_roots_recover_from_a_bad_candidate(monkeypatch, offset):
+    candidate = roots._pow2_root_candidate
+    monkeypatch.setattr(roots, "_pow2_root_candidate", lambda x, l, digits: max(0, candidate(x, l, digits) + offset))
+    rng = random.Random(7)
+    for _ in range(40):
+        x = F(rng.randint(1, 10 ** 30), rng.randint(1, 10 ** 20))
+        l, digits = rng.randint(1, 9), rng.randint(0, 25)
+        n = 2 ** l
+        assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
+        assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
