@@ -1,17 +1,20 @@
 """Bilateral growth bounds for the quadratic recursion, certified exactly.
 
-For k, l >= 1 the sequence is sandwiched as
+For k, l >= 1 and slack factor Q(l) = 1 + a / (b * D(l)^2) the sequence obeys
 
-    b^(2^k - 1) * D(l)^(2^k)  <=  D(k+l)  <=  lower * Q(l)^(2^k - 1)
+    b^(2^k - 1) * D(l)^(2^k)  <=  D(k+l)  <=  lower * Q(l)^(2^k - 1),
 
-with slack factor Q(l) = 1 + a / (b * D(l)^2).  Equivalently, the ratio
-b*D(k+l) / (b*D(l))^(2^k) lies in [1, Q(l)^(2^k - 1)].  Everything here is
-computed and compared in exact rational arithmetic; the only rounding in the
-whole module is the deliberate floor in :func:`integer_envelope`.
+so the ratio b*D(k+l) / (b*D(l))^(2^k) lies in [1, Q(l)^(2^k - 1)].  With the small
+bases P = b*D(l) and R = P*Q(l), lower = P^(2^k)/b, upper = R^(2^k)/(b*Q(l)) and
+ratio = D(k+l)/lower: raising k squares each power, a power of a reduced fraction
+needs no gcd, and no gcd pairs two huge operands.  All exact but :func:`integer_envelope`'s floor.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,51 +23,31 @@ from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate
 from .serialize import frac_str
 
 
-def _check_index(table: SequenceTable, n: int, what: str) -> None:
-    if not 0 <= n <= table.n_max:
-        raise IndexError(f"{what}={n} outside table range 0..{table.n_max}")
+#: n/d with gcd(n, d) = 1 and d > 0; Fraction() takes a Rational's lowest terms without a gcd
+_LowestTerms = numbers.Rational.register(namedtuple("_LowestTerms", "numerator denominator"))
 
 
-def _check_l(l: int) -> None:
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+def _check(table: SequenceTable, k: int, l: int, k_min: int = 1) -> None:
+    if k < k_min or l < 1:
+        raise ValueError(f"need k >= {k_min} and l >= 1, got k={k}, l={l}")
+    if k + l > table.n_max:
+        raise IndexError(f"index {k + l} outside table range 0..{table.n_max}")
+
+
+def _cancel(x: int, y: int, w: int) -> tuple[int, int]:
+    """x, y over their gcd, where every prime of y divides the small w: only primes of
+    gcd(x, w) can be shared, so small gcds find them and none runs on x and y together."""
+    c = math.gcd(math.gcd(x, w), y)
+    while c > 1:
+        x, y = x // c, y // c
+        c = math.gcd(math.gcd(x, c * c), y)
+    return x, y
 
 
 def q_factor(params: Params, table: SequenceTable, l: int) -> Fraction:
     """Slack factor Q(l) = 1 + a/(b*D(l)^2); strictly > 1 since a > 0."""
-    _check_l(l)
-    _check_index(table, l, "l")
+    _check(table, 0, l, k_min=0)
     return 1 + params.a / (params.b * table[l] ** 2)
-
-
-def lower_bound(params: Params, table: SequenceTable, k: int, l: int) -> Fraction:
-    """Pure-quadratic lower envelope b^(2^k - 1) * D(l)^(2^k)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_l(l)
-    _check_index(table, k + l, "k+l")
-    e = 2 ** k
-    return params.b ** (e - 1) * table[l] ** e
-
-
-def upper_bound(params: Params, table: SequenceTable, k: int, l: int) -> Fraction:
-    """Upper envelope lower_bound * Q(l)^(2^k - 1), exact (binary exponentiation)."""
-    return lower_bound(params, table, k, l) * q_factor(params, table, l) ** (2 ** k - 1)
-
-
-def ratio(params: Params, table: SequenceTable, k: int, l: int) -> Fraction:
-    """Normalized growth ratio b*D(k+l) / (b*D(l))^(2^k).
-
-    k = 0 returns 1 by convention (the trivial boundary case); for k >= 1 the
-    value lies in [1, Q(l)^(2^k - 1)] whenever the growth conditions hold.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    _check_l(l)
-    if k == 0:
-        return Fraction(1)
-    _check_index(table, k + l, "k+l")
-    return params.b * table[k + l] / (params.b * table[l]) ** (2 ** k)
 
 
 @dataclass(frozen=True)
@@ -89,30 +72,53 @@ class ConvergenceProfile:
     rows: tuple[tuple[int, Fraction, Fraction], ...]
 
 
+def _certificate(params: Params, table: SequenceTable, k: int, l: int, p_pow: Fraction, r_pow: Fraction) -> BoundCertificate:
+    """The certificate at (k, l) from p_pow = P^(2^k) and r_pow = R^(2^k)."""
+    b, d, act, q = params.b, table[l], table[k + l], q_factor(params, table, l)
+    lo, up = p_pow / b, r_pow / (b * q)
+    # lo = b^(2^k-1) * d^(2^k), so the primes of its numerator divide b_n*d_n, those of its denominator b_d*d_d
+    xn, yn = _cancel(act.numerator, lo.numerator, b.numerator * d.numerator)
+    xd, yd = _cancel(act.denominator, lo.denominator, b.denominator * d.denominator)
+    rat = Fraction(_LowestTerms(xn * yd, xd * yn)) if yn > 0 else act / lo  # yn < 0 only for b < 0
+    return BoundCertificate(k, l, q, lo, up, act, rat, lo <= act <= up)
+
+
+def _at(params: Params, table: SequenceTable, k: int, l: int) -> BoundCertificate:
+    _check(table, k, l)
+    p = params.b * table[l]
+    return _certificate(params, table, k, l, p ** (2 ** k), (p * q_factor(params, table, l)) ** (2 ** k))
+
+
+def lower_bound(params: Params, table: SequenceTable, k: int, l: int) -> Fraction:
+    """Pure-quadratic lower envelope b^(2^k - 1) * D(l)^(2^k)."""
+    return _at(params, table, k, l).lower
+
+
+def upper_bound(params: Params, table: SequenceTable, k: int, l: int) -> Fraction:
+    """Upper envelope lower_bound * Q(l)^(2^k - 1), exact."""
+    return _at(params, table, k, l).upper
+
+
+def ratio(params: Params, table: SequenceTable, k: int, l: int) -> Fraction:
+    """Normalized growth ratio b*D(k+l) / (b*D(l))^(2^k).
+
+    k = 0 returns 1 by convention (the trivial boundary case); for k >= 1 the
+    value lies in [1, Q(l)^(2^k - 1)] whenever the growth conditions hold.
+    """
+    _check(table, k, l, k_min=0)
+    return Fraction(1) if k == 0 else _at(params, table, k, l).ratio
+
+
 def certify(params: Params, k_max: int, l_max: int, cap: int = DEFAULT_CAP) -> list[BoundCertificate]:
     """Certificates for every (k, l) in [1..k_max] x [1..l_max], k-major order."""
     if k_max < 1 or l_max < 1:
         raise ValueError("k_max and l_max must be >= 1")
     table = evaluate(params, k_max + l_max, cap=cap)
+    powers = [(params.b * table[l], params.b * table[l] * q_factor(params, table, l)) for l in range(1, l_max + 1)]
     out = []
     for k in range(1, k_max + 1):
-        for l in range(1, l_max + 1):
-            q = q_factor(params, table, l)
-            lo = lower_bound(params, table, k, l)
-            up = upper_bound(params, table, k, l)
-            act = table[k + l]
-            out.append(
-                BoundCertificate(
-                    k=k,
-                    l=l,
-                    q_l=q,
-                    lower=lo,
-                    upper=up,
-                    actual=act,
-                    ratio=ratio(params, table, k, l),
-                    holds=lo <= act <= up,
-                )
-            )
+        powers = [(p ** 2, r ** 2) for p, r in powers]
+        out += [_certificate(params, table, k, l, p, r) for l, (p, r) in enumerate(powers, 1)]
     return out
 
 
@@ -128,26 +134,20 @@ def convergence_profile(params: Params, k: int, l_values, cap: int = DEFAULT_CAP
     if not ls or ls[0] < 1:
         raise ValueError("l values must be a nonempty collection of integers >= 1")
     table = evaluate(params, k + ls[-1], cap=cap)
-    rows = []
-    for l in ls:
-        r = ratio(params, table, k, l)
-        gap = q_factor(params, table, l) ** (2 ** k - 1) - 1
-        rows.append((l, r - 1, gap))
-    return ConvergenceProfile(k=k, rows=tuple(rows))
+    certs = (_at(params, table, k, l) for l in ls)
+    return ConvergenceProfile(k=k, rows=tuple((c.l, c.ratio - 1, c.q_l ** (2 ** k - 1) - 1) for c in certs))
 
 
 def integer_envelope(params: Params, table: SequenceTable, k: int, l: int) -> tuple[int, int]:
     """Integer bracket [lower, floor(upper)] around D(k+l) for integer a, b.
 
     Integer coefficients keep the whole orbit integral, so the upper bound
-    may be floored without losing containment.
+    (b*D(l)^2 + a)^(2^k - 1) / D(l)^(2^k - 2) may be floored without loss.
     """
     if not params.is_integer():
-        raise NonIntegerParamsError(
-            f"integer envelope needs integer a, b, d0; got ({frac_str(params.a)}, {frac_str(params.b)}, {frac_str(params.d0)})"
-        )
-    lo = lower_bound(params, table, k, l)
-    up = upper_bound(params, table, k, l)
+        abd = ", ".join(map(frac_str, (params.a, params.b, params.d0)))
+        raise NonIntegerParamsError(f"integer envelope needs integer a, b, d0; got ({abd})")
+    lo, up = lower_bound(params, table, k, l), upper_bound(params, table, k, l)
     if lo.denominator != 1:
         raise CertificateError(f"lower bound on D({k + l}) is not an integer")
     return lo.numerator, up.numerator // up.denominator

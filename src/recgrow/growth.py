@@ -18,21 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-from mpmath import log as _mp_log
-from mpmath import mpf
-
 from .errors import CapExceededError, CertificateError, ToleranceUnachievableError
 from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate
 from .bounds import q_factor
-from .roots import digits_for, nth_root_lower, nth_root_upper, pow2_cmp
+from .roots import digit_budget, digits_for, nth_root_lower, nth_root_upper, pow2_cmp
 from .serialize import frac_str
 
 #: Finest relative tolerance the enclosure contract accepts.
 MIN_RTOL = Fraction(1, 10 ** 30)
 
-#: Budget per root extraction on 2^l * digits, the decimal size of the exactly
-#: scaled radicand x * 10^(digits * 2^l), which is never built.
+#: Budget, in decimal digits, on what one pass of a 2^l-th root certification
+#: builds: l square roots or squarings of integers of about 2*bits(r) + 128 bits,
+#: r the grid numerator (see :func:`~recgrow.roots.digit_budget`).
 DEFAULT_MAX_DIGITS = 2_000_000
 
 
@@ -84,29 +81,22 @@ def growth_enclosure(
     q = q_factor(params, table, l)
     x_hi = x_lo * q
 
-    def _budget(digits: int) -> int:
-        if m * digits > max_digits:
-            raise ToleranceUnachievableError(
-                f"2^{l}-th root at {digits} digits needs a {m * digits}-digit "
-                f"radicand, over the {max_digits}-digit budget"
-            )
-        return digits
-
-    # coarse pass only to learn the root's magnitude
-    s0 = 8
-    c0 = nth_root_lower(x_lo, m, _budget(s0))
-    while c0 == 0:
-        s0 *= 2
-        c0 = nth_root_lower(x_lo, m, _budget(s0))
-    # grid below both the tolerance and the bracket width c*ln(Q)/m, estimated
-    # from below via ln(Q) >= (Q-1)/Q; keeps rounding from dominating the width
-    target = min(rt * c0 / 2, c0 * (q - 1) / (q * m) / 20)
-    s = _budget(digits_for(target))
-    c_lo = nth_root_lower(x_lo, m, s)
-    c_hi = nth_root_upper(x_hi, m, s)
-    # the containment contract, checked again on the returned endpoints
-    if not (pow2_cmp(c_lo, l, x_lo) <= 0 and pow2_cmp(c_hi, l, x_hi) >= 0):
-        raise CertificateError(f"[{frac_str(c_lo)}, {frac_str(c_hi)}] does not enclose the 2^{l}-th root bracket")
+    with digit_budget(max_digits):
+        # coarse pass only to learn the root's magnitude
+        s0 = 8
+        c0 = nth_root_lower(x_lo, m, s0)
+        while c0 == 0:
+            s0 *= 2
+            c0 = nth_root_lower(x_lo, m, s0)
+        # grid below both the tolerance and the bracket width c*ln(Q)/m, estimated
+        # from below via ln(Q) >= (Q-1)/Q; keeps rounding from dominating the width
+        target = min(rt * c0 / 2, c0 * (q - 1) / (q * m) / 20)
+        s = digits_for(target)
+        c_lo = nth_root_lower(x_lo, m, s)
+        c_hi = nth_root_upper(x_hi, m, s)
+        # the containment contract, checked again on the returned endpoints
+        if not (pow2_cmp(c_lo, l, x_lo) <= 0 and pow2_cmp(c_hi, l, x_hi) >= 0):
+            raise CertificateError(f"[{frac_str(c_lo)}, {frac_str(c_hi)}] does not enclose the 2^{l}-th root bracket")
     if not Fraction(1, 10 ** s) <= rt * c_lo:
         raise CertificateError(f"grid 10^-{s} is coarser than rtol={frac_str(rt)} at c_lo={frac_str(c_lo)}")
     return GrowthEnclosure(l=l, c_lo=c_lo, c_hi=c_hi, digits=s)
@@ -126,6 +116,8 @@ def _ln_fraction(x: Fraction, prec: int):
     Huge integers never reach the transcendental code: each one contributes
     (bits-1)*ln2 plus the log of a mantissa in [1, 2).
     """
+    # mpmath is imported only by the log diagnostics, to keep it off the CLI's import path
+    from mpmath import log as _mp_log, mp, mpf
 
     def ln_int(n: int):
         shift = n.bit_length() - 1
@@ -151,6 +143,8 @@ def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
     x = table.params.b * table[n]
     if x <= 1:
         raise ValueError(f"b*D(n) must exceed 1 for the double log, got {frac_str(x)}")
+
+    from mpmath import log as _mp_log, mp
 
     def one_pass(prec: int) -> Fraction:
         with mp.workprec(prec):

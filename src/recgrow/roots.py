@@ -8,14 +8,20 @@ never depends on floating point.  For n = 2^l a candidate comes from l integer
 square roots of a mantissa-exponent pair, and :func:`pow2_cmp` certifies it:
 the l squarings of its numerator and denominator are rounded outward to
 integer brackets that decide the comparison with x, falling back to exact
-squarings when they do not.  Other orders take floor/ceiling integer Newton
-roots of the exactly scaled radicand x * 10^(digits*n).
+squarings when they do not.  Inside :func:`digit_budget` each pass of l
+square roots or squarings is checked against a digit budget before it starts.
+Other orders take floor/ceiling integer Newton roots of the exactly scaled
+radicand x * 10^(digits*n).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
+
+from .errors import ToleranceUnachievableError
 
 
 def floor_pow2_root(x: int, l: int) -> int:
@@ -67,6 +73,34 @@ def ceil_nth_root(x: int, n: int) -> int:
 #: Bits kept beyond the operands' own size by the candidate and the brackets.
 _GUARD_BITS = 64
 
+#: Decimal digits that one pass of l square roots or l squarings may build, or None.
+#: A context variable, so the budget reaches pow2_cmp through the three-argument
+#: nth_root_lower/nth_root_upper and stays local to the block that set it.
+_MAX_DIGITS: ContextVar = ContextVar("max_digits", default=None)
+
+
+@contextmanager
+def digit_budget(max_digits: int):
+    """Within the block, a 2^l-th root or power comparison raises
+    ToleranceUnachievableError instead of starting a pass whose l square roots
+    or squarings of about 2*prec-bit integers would build more than max_digits
+    decimal digits in all."""
+    token = _MAX_DIGITS.set(max_digits)
+    try:
+        yield
+    finally:
+        _MAX_DIGITS.reset(token)
+
+
+def _check_budget(l: int, prec: int) -> None:
+    max_digits = _MAX_DIGITS.get()
+    need = 2 * l * prec * 30103 // 100000 + 1  # decimal digits of 2*l*prec bits
+    if max_digits is not None and need > max_digits:
+        raise ToleranceUnachievableError(
+            f"2^{l}-th root or power at {prec}-bit precision needs {need} digits of squarings, "
+            f"over the {max_digits}-digit budget"
+        )
+
 
 def _pow2_bracket(v: int, l: int, prec: int) -> tuple[int, int, int]:
     """(lo, hi, e) with lo * 2^e <= v^(2^l) <= hi * 2^e, for v >= 0.
@@ -108,6 +142,7 @@ def pow2_cmp(base: Fraction, l: int, x: Fraction) -> int:
     big_x, big_y = x.numerator, x.denominator
     prec = max(p.bit_length(), q.bit_length()) + _GUARD_BITS
     while True:
+        _check_budget(l, prec)
         p_lo, p_hi, ep = _pow2_bracket(p, l, prec)
         q_lo, q_hi, eq = _pow2_bracket(q, l, prec)
         if _cmp_scaled(p_hi * big_y, ep, q_lo * big_x, eq) < 0:
@@ -129,6 +164,7 @@ def _pow2_root_candidate(x: Fraction, l: int, digits: int) -> int:
     num, den = x.numerator, x.denominator
     log2_x = num.bit_length() - den.bit_length()  # within 1 of log2(x)
     prec = max(0, (log2_x >> l) + digits * 10 // 3) + _GUARD_BITS
+    _check_budget(l, prec)
     shift = 2 * prec - log2_x
     m = (num << shift) // den if shift >= 0 else num // (den << -shift)
     e = -shift

@@ -1,10 +1,12 @@
+import decimal
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import recgrow.growth as growth_mod
-from recgrow import DEFAULT_CAP, MATRIX_DEFAULT_CAP, term_count
+from recgrow import DEFAULT_CAP, MATRIX_DEFAULT_CAP, Params, evaluate, q_factor, term_count
 from recgrow.cli import build_parser, run
 from recgrow.serialize import parse_rational
 
@@ -271,3 +273,63 @@ def test_ns_deep_subprocess():
     last = json.loads(proc.stdout)["results"]["rows"][-1]
     assert last["n"] == 13
     assert parse_rational(last["terms"]) == term_count(3, 13)
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # only the log diagnostics use mpmath, so importing the CLI must not load it
+    code = "import recgrow.cli, sys; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+# sha256 of `growth ... --format json` stdout, recorded while --max-digits still
+# budgeted the 2^l x digits radicand and mpmath was imported with the package
+GROWTH_GOLDENS = {
+    "growth --a 1 --b 1 --l 10": "981251cdb08dce7260f374d6f36fbf7fe633cd1713946718e899f714d3ce1bb3",
+    "growth --a 1 --b 9 --l 8 --loglog-n 12": "feb69c26ddc6ee136136f6326e388f1f6bb5d95ff00d8209f907e9ba4c288371",
+}
+
+
+def test_growth_report_bytes_unchanged(capsys):
+    for command, digest in GROWTH_GOLDENS.items():
+        assert run(command.split() + ["--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, command
+
+
+def _exact_power_cmp(grid_value: str, n: int, x: Fraction) -> int:
+    """sign(v^n - x) for the decimal string v, by exact decimal arithmetic on
+    the scaled radicand: r^n * den(x) against num(x) * 10^(s*n)."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    whole, _, frac = grid_value.partition(".")
+    r = ctx.create_decimal(whole + frac)
+    left = ctx.multiply(ctx.power(r, n), ctx.create_decimal(x.denominator))
+    right = ctx.scaleb(ctx.create_decimal(x.numerator), len(frac) * n)
+    return int(ctx.compare(left, right))
+
+
+def _grid_step(value: str, step: int) -> str:
+    whole, _, frac = value.partition(".")
+    r = str(int(whole + frac) + step).rjust(len(frac) + 1, "0")
+    return f"{r[:-len(frac)]}.{r[-len(frac):]}"
+
+
+def test_growth_l12_fits_the_default_budget(capsys):
+    # the 2^12 x digits radicand (~6M digits) is over the 2M-digit default,
+    # but nothing that size is built, so the enclosure is computed
+    doc = _json_out(capsys, ["growth", "--a", "1", "--b", "1", "--l", "12", "--format", "json"])
+    params = Params(1, 1)
+    table = evaluate(params, 12)
+    x_lo = table[12]
+    x_hi = x_lo * q_factor(params, table, 12)
+    c_lo, c_hi = doc["results"]["c_lo"], doc["results"]["c_hi"]
+    n = 2 ** 12
+    # each endpoint is the tightest grid point on its side of the exact radicand
+    assert _exact_power_cmp(c_lo, n, x_lo) <= 0 < _exact_power_cmp(_grid_step(c_lo, 1), n, x_lo)
+    assert _exact_power_cmp(c_hi, n, x_hi) >= 0 > _exact_power_cmp(_grid_step(c_hi, -1), n, x_hi)
+
+
+def test_growth_l12_tiny_budget_exits_3(capsys):
+    assert run(["growth", "--a", "1", "--b", "1", "--l", "12", "--max-digits", "1000"]) == 3
+    assert "over the 1000-digit budget" in capsys.readouterr().err

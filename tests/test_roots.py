@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recgrow.roots as roots
+from recgrow import ToleranceUnachievableError
 from recgrow.roots import (
     ceil_nth_root,
     digits_for,
@@ -171,3 +172,28 @@ def test_pow2_roots_recover_from_a_bad_candidate(monkeypatch, offset):
         n = 2 ** l
         assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
         assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
+
+
+def test_pow2_cmp_doubling_stops_at_the_digit_budget(monkeypatch):
+    # an exact hit with a 30-bit base needs about 2^8 * 30 bits before the
+    # brackets stop rounding; under a smaller budget the doubling must raise
+    # before any pass builds more than the budget allows
+    base, l = F(123456789, 10 ** 9), 8
+    x = base ** (2 ** l)
+    precs = []
+    bracket = roots._pow2_bracket
+    monkeypatch.setattr(roots, "_pow2_bracket", lambda v, l, prec: precs.append(prec) or bracket(v, l, prec))
+    with roots.digit_budget(2000):
+        with pytest.raises(ToleranceUnachievableError, match="over the 2000-digit budget"):
+            pow2_cmp(base, l, x)
+    assert len(set(precs)) > 1 and max(2 * l * p for p in precs) * 30103 // 100000 + 1 <= 2000
+    with roots.digit_budget(10 ** 6):
+        assert pow2_cmp(base, l, x) == 0
+    assert pow2_cmp(base, l, x) == 0  # no budget outside the block
+
+
+def test_pow2_root_candidate_checks_the_budget_first(monkeypatch):
+    monkeypatch.setattr(roots.math, "isqrt", lambda m: pytest.fail("square root taken over budget"))
+    with roots.digit_budget(100):
+        with pytest.raises(ToleranceUnachievableError):
+            nth_root_lower(F(2), 2 ** 10, 50)
