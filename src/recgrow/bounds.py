@@ -72,31 +72,32 @@ class ConvergenceProfile:
     rows: tuple[tuple[int, Fraction, Fraction], ...]
 
 
-def _certificate(params: Params, table: SequenceTable, k: int, l: int, p_pow: Fraction, r_pow: Fraction) -> BoundCertificate:
-    """The certificate at (k, l) from p_pow = P^(2^k) and r_pow = R^(2^k)."""
-    b, d, act, q = params.b, table[l], table[k + l], q_factor(params, table, l)
-    lo, up = p_pow / b, r_pow / (b * q)
-    # lo = b^(2^k-1) * d^(2^k), so the primes of its numerator divide b_n*d_n, those of its denominator b_d*d_d
+def _ratio(b: Fraction, d: Fraction, act: Fraction, lo: Fraction) -> Fraction:
+    """act / lo in lowest terms, for lo = b^(2^k-1) * d^(2^k) and act = D(k+l)."""
+    # the primes of lo's numerator divide b_n*d_n, those of its denominator b_d*d_d
     xn, yn = _cancel(act.numerator, lo.numerator, b.numerator * d.numerator)
     xd, yd = _cancel(act.denominator, lo.denominator, b.denominator * d.denominator)
-    rat = Fraction(_LowestTerms(xn * yd, xd * yn)) if yn > 0 else act / lo  # yn < 0 only for b < 0
-    return BoundCertificate(k, l, q, lo, up, act, rat, lo <= act <= up)
+    return Fraction(_LowestTerms(xn * yd, xd * yn)) if yn > 0 else act / lo  # yn < 0 only for b < 0
 
 
-def _at(params: Params, table: SequenceTable, k: int, l: int) -> BoundCertificate:
-    _check(table, k, l)
-    p = params.b * table[l]
-    return _certificate(params, table, k, l, p ** (2 ** k), (p * q_factor(params, table, l)) ** (2 ** k))
+def _certificate(params: Params, table: SequenceTable, k: int, l: int, p_pow: Fraction, r_pow: Fraction) -> BoundCertificate:
+    """The certificate at (k, l) from p_pow = P^(2^k) and r_pow = R^(2^k)."""
+    b, act, q = params.b, table[k + l], q_factor(params, table, l)
+    lo, up = p_pow / b, r_pow / (b * q)
+    return BoundCertificate(k, l, q, lo, up, act, _ratio(b, table[l], act, lo), lo <= act <= up)
 
 
 def lower_bound(params: Params, table: SequenceTable, k: int, l: int) -> Fraction:
-    """Pure-quadratic lower envelope b^(2^k - 1) * D(l)^(2^k)."""
-    return _at(params, table, k, l).lower
+    """Pure-quadratic lower envelope b^(2^k - 1) * D(l)^(2^k) = P^(2^k)/b."""
+    _check(table, k, l)
+    return (params.b * table[l]) ** (2 ** k) / params.b
 
 
 def upper_bound(params: Params, table: SequenceTable, k: int, l: int) -> Fraction:
-    """Upper envelope lower_bound * Q(l)^(2^k - 1), exact."""
-    return _at(params, table, k, l).upper
+    """Upper envelope lower_bound * Q(l)^(2^k - 1) = R^(2^k)/(b*Q(l)), exact."""
+    _check(table, k, l)
+    bq = params.b * q_factor(params, table, l)
+    return (table[l] * bq) ** (2 ** k) / bq
 
 
 def ratio(params: Params, table: SequenceTable, k: int, l: int) -> Fraction:
@@ -106,7 +107,9 @@ def ratio(params: Params, table: SequenceTable, k: int, l: int) -> Fraction:
     value lies in [1, Q(l)^(2^k - 1)] whenever the growth conditions hold.
     """
     _check(table, k, l, k_min=0)
-    return Fraction(1) if k == 0 else _at(params, table, k, l).ratio
+    if k == 0:
+        return Fraction(1)
+    return _ratio(params.b, table[l], table[k + l], lower_bound(params, table, k, l))
 
 
 def certify(params: Params, k_max: int, l_max: int, cap: int = DEFAULT_CAP) -> list[BoundCertificate]:
@@ -134,8 +137,8 @@ def convergence_profile(params: Params, k: int, l_values, cap: int = DEFAULT_CAP
     if not ls or ls[0] < 1:
         raise ValueError("l values must be a nonempty collection of integers >= 1")
     table = evaluate(params, k + ls[-1], cap=cap)
-    certs = (_at(params, table, k, l) for l in ls)
-    return ConvergenceProfile(k=k, rows=tuple((c.l, c.ratio - 1, c.q_l ** (2 ** k - 1) - 1) for c in certs))
+    rows = ((l, ratio(params, table, k, l) - 1, q_factor(params, table, l) ** (2 ** k - 1) - 1) for l in ls)
+    return ConvergenceProfile(k=k, rows=tuple(rows))
 
 
 def integer_envelope(params: Params, table: SequenceTable, k: int, l: int) -> tuple[int, int]:
