@@ -425,6 +425,8 @@ def _cmd_general(args) -> Report:
     pn, d0 = _family_from_doc(_load_json_file(args.file))
     if d0 < 1:
         raise ValueError(f"seed must be >= 1, got {frac_str(d0)}")
+    if args.n > args.cap:
+        raise CapExceededError(f"n={args.n} exceeds cap={args.cap}")
     orbit = general_mod.iterate_family(pn.family, d0, args.n)
     samples = sorted(set(orbit) | {Fraction(1)})
     sandwich = general_mod.verify_sandwich(pn, samples, range(args.n))

@@ -12,7 +12,11 @@ lower envelope is exactly the certified pure-quadratic bound).
 Families are restricted to F(n, z) = alpha(n) * z^p + beta(n) with rational
 coefficients, which keeps the sandwich check decidable: for rational
 1 + delta = u/v, the inequality C*z^(u/v) <= F is equivalent to
-C^v * z^u <= F^v, an exact rational comparison.
+C^v * z^u <= F^v, an exact rational comparison.  The envelopes take such
+powers as grid points r/10^digits certified by :func:`~recgrow.roots.pow_lower`
+and :func:`~recgrow.roots.pow_upper`, which compare (r/10^digits)^v with z^u
+without forming z^u, under the one digit budget of
+:func:`~recgrow.roots.digit_budget` (ToleranceUnachievableError past it).
 """
 
 from __future__ import annotations
@@ -21,27 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ToleranceUnachievableError
 from .recurrence import ValidationReport, as_fraction
 from .roots import pow_lower, pow_upper
 from .serialize import frac_str
 
 DEFAULT_ROOT_DIGITS = 40
-
-# bit budget for one rational-power radicand; beyond this the requested
-# grid cannot be reached in reasonable memory
-_MAX_POW_BITS = 50_000_000
-
-
-def _check_pow_budget(x: Fraction, e: Fraction, digits: int) -> None:
-    if e.denominator == 1:
-        return
-    bits = (x.numerator.bit_length() + x.denominator.bit_length()) * e.numerator
-    bits += 4 * digits * e.denominator
-    if bits > _MAX_POW_BITS:
-        raise ToleranceUnachievableError(
-            f"rational power would need a ~{bits}-bit radicand (budget {_MAX_POW_BITS})"
-        )
 
 
 def _coeff(coeffs, n: int) -> Fraction:
@@ -165,7 +153,6 @@ def envelope(pn: PowerNonlinearity, d0, n_max: int, root_digits: int = DEFAULT_R
     exact = e.denominator == 1
     lower, upper = [seed], [seed]
     for n in range(n_max):
-        _check_pow_budget(upper[-1], e, root_digits)
         lo = pn.c1 * pow_lower(lower[-1], e, root_digits)
         up = pn.c2 * pow_upper(upper[-1], e, root_digits)
         if lo < 1:
@@ -199,8 +186,6 @@ def closed_form_lower(
     c_exp = (z_exp - 1) / pn.delta
     if z_exp.denominator == 1 and c_exp.denominator == 1:
         return pn.c1 ** int(c_exp) * z ** int(z_exp)
-    _check_pow_budget(pn.c1, c_exp, root_digits)
-    _check_pow_budget(z, z_exp, root_digits)
     lo = pow_lower(pn.c1, c_exp, root_digits) * pow_lower(z, z_exp, root_digits)
     hi = pow_upper(pn.c1, c_exp, root_digits) * pow_upper(z, z_exp, root_digits)
     return (lo, hi)

@@ -8,7 +8,7 @@ that C = lim (b*D(n))^(1/2^n) exists and satisfies, for every witness index l,
 :func:`growth_enclosure` turns one such bracket into decimal endpoints with
 outward rounding, so the reported interval still provably contains C.  Each
 endpoint's 2^l-th power is compared with the bracket by
-:func:`~recgrow.roots.pow2_cmp` (outward-rounded integer squarings with an
+:func:`~recgrow.roots.pow_cmp` (outward-rounded integer squarings with an
 exact fallback), so the check never forms a 2^l x digits number.  b*D(n) grows like
 C^(2^n), i.e. log2(ln(b*D(n)))/n -> 1, which :func:`log_log_index` tracks.
 """
@@ -21,16 +21,11 @@ from fractions import Fraction
 from .errors import CapExceededError, CertificateError, ToleranceUnachievableError
 from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate
 from .bounds import q_factor
-from .roots import digit_budget, digits_for, nth_root_lower, nth_root_upper, pow2_cmp
+from .roots import DEFAULT_MAX_DIGITS, digit_budget, digits_for, nth_root_lower, nth_root_upper, pow_cmp
 from .serialize import frac_str
 
 #: Finest relative tolerance the enclosure contract accepts.
 MIN_RTOL = Fraction(1, 10 ** 30)
-
-#: Budget, in decimal digits, on what one pass of a 2^l-th root certification
-#: builds: l square roots or squarings of integers of about 2*bits(r) + 128 bits,
-#: r the grid numerator (see :func:`~recgrow.roots.digit_budget`).
-DEFAULT_MAX_DIGITS = 2_000_000
 
 
 def _as_tolerance(rtol) -> Fraction:
@@ -69,6 +64,8 @@ def growth_enclosure(
     Each endpoint carries relative error <= rtol (rtol >= 10^-30), and the
     grid is additionally refined below the bracket's own width so the
     reported interval tracks the true one instead of the rounding floor.
+    Every pass of l square roots or squarings is held to max_digits decimal
+    digits (see :func:`~recgrow.roots.digit_budget`).
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -95,7 +92,7 @@ def growth_enclosure(
         c_lo = nth_root_lower(x_lo, m, s)
         c_hi = nth_root_upper(x_hi, m, s)
         # the containment contract, checked again on the returned endpoints
-        if not (pow2_cmp(c_lo, l, x_lo) <= 0 and pow2_cmp(c_hi, l, x_hi) >= 0):
+        if not (pow_cmp(c_lo, m, x_lo) <= 0 and pow_cmp(c_hi, m, x_hi) >= 0):
             raise CertificateError(f"[{frac_str(c_lo)}, {frac_str(c_hi)}] does not enclose the 2^{l}-th root bracket")
     if not Fraction(1, 10 ** s) <= rt * c_lo:
         raise CertificateError(f"grid 10^-{s} is coarser than rtol={frac_str(rt)} at c_lo={frac_str(c_lo)}")

@@ -1,17 +1,19 @@
 """Certified n-th roots and rational powers on a decimal grid.
 
 The primitives here return Fractions of the form r / 10^digits that bracket
-an irrational root from one side, with the defining inequality (r/10^s)^n <= x
-or >= x holding *exactly*.  Each bound is also within one grid ulp of the true
-root, so callers control accuracy purely through ``digits``.  Correctness
-never depends on floating point.  For n = 2^l a candidate comes from l integer
-square roots of a mantissa-exponent pair, and :func:`pow2_cmp` certifies it:
-the l squarings of its numerator and denominator are rounded outward to
-integer brackets that decide the comparison with x, falling back to exact
-squarings when they do not.  Inside :func:`digit_budget` each pass of l
-square roots or squarings is checked against a digit budget before it starts.
-Other orders take floor/ceiling integer Newton roots of the exactly scaled
-radicand x * 10^(digits*n).
+an irrational root from one side, with the defining inequality
+(r/10^s)^n <= x^m or >= x^m holding *exactly*.  Each bound is also within one
+grid ulp of the true root, so callers control accuracy purely through
+``digits``.  Correctness never depends on floating point.  One comparison,
+:func:`pow_cmp`, certifies every order: the powers of the grid point's and
+of x's numerator and denominator are built by square-and-multiply, each step
+rounded outward to integer brackets that decide the comparison, falling back
+to exact products when they do not.  A candidate comes from a
+mantissa-exponent pair of x^m: integer square roots take the power-of-two
+part of n, and integer Newton at doubling precision the odd part.  Neither
+x^m nor a scaled radicand x^m * 10^(digits*n) is ever formed.  Each pass of
+square roots, squarings or products is checked against the digit budget of
+:func:`digit_budget` before it starts.
 """
 
 from __future__ import annotations
@@ -23,68 +25,27 @@ from fractions import Fraction
 
 from .errors import ToleranceUnachievableError
 
-
-def floor_pow2_root(x: int, l: int) -> int:
-    """floor(x^(1/2^l)) for x >= 0.
-
-    Repeated floor-sqrt composes exactly: floor(sqrt(floor(sqrt(x)))) equals
-    floor(x^(1/4)), and so on.
-    """
-    if x < 0:
-        raise ValueError("negative radicand")
-    for _ in range(l):
-        x = math.isqrt(x)
-    return x
-
-
-def floor_nth_root(x: int, n: int) -> int:
-    """Largest r with r^n <= x, for x >= 0, n >= 1.
-
-    Integer Newton iteration, then clamped; the final adjustment loops make
-    the result exact regardless of how the iteration landed.
-    """
-    if x < 0:
-        raise ValueError("negative radicand")
-    if n < 1:
-        raise ValueError("root order must be >= 1")
-    if n == 1 or x in (0, 1):
-        return x
-    if n & (n - 1) == 0:
-        return floor_pow2_root(x, n.bit_length() - 1)
-    r = 1 << -(-x.bit_length() // n)  # 2^ceil(bits/n) >= true root
-    while True:
-        s = ((n - 1) * r + x // r ** (n - 1)) // n
-        if s >= r:
-            break
-        r = s
-    while r ** n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
-
-
-def ceil_nth_root(x: int, n: int) -> int:
-    """Smallest r with r^n >= x, for x >= 0, n >= 1."""
-    r = floor_nth_root(x, n)
-    return r if r ** n == x else r + 1
-
-
 #: Bits kept beyond the operands' own size by the candidate and the brackets.
 _GUARD_BITS = 64
+#: Bits of the odd-order Newton seed, found by bisection.
+_SEED_BITS = 64
 
-#: Decimal digits that one pass of l square roots or l squarings may build, or None.
-#: A context variable, so the budget reaches pow2_cmp through the three-argument
+#: Budget, in decimal digits, on what one pass of a root certification builds
+#: when no :func:`digit_budget` block sets another; the ``--max-digits`` default.
+DEFAULT_MAX_DIGITS = 2_000_000
+
+#: Decimal digits that one pass of square roots, squarings or products may build.
+#: A context variable, so the budget reaches pow_cmp through the three-argument
 #: nth_root_lower/nth_root_upper and stays local to the block that set it.
-_MAX_DIGITS: ContextVar = ContextVar("max_digits", default=None)
+_MAX_DIGITS: ContextVar = ContextVar("max_digits", default=DEFAULT_MAX_DIGITS)
 
 
 @contextmanager
 def digit_budget(max_digits: int):
-    """Within the block, a 2^l-th root or power comparison raises
-    ToleranceUnachievableError instead of starting a pass whose l square roots
-    or squarings of about 2*prec-bit integers would build more than max_digits
-    decimal digits in all."""
+    """Within the block, a root or power comparison raises
+    ToleranceUnachievableError instead of starting a pass whose square roots,
+    squarings or products of about 2*prec-bit integers would build more than
+    max_digits decimal digits in all."""
     token = _MAX_DIGITS.set(max_digits)
     try:
         yield
@@ -92,27 +53,31 @@ def digit_budget(max_digits: int):
         _MAX_DIGITS.reset(token)
 
 
-def _check_budget(l: int, prec: int) -> None:
+def _check_budget(prec: int, n: int, m: int = 1) -> None:
+    # squarings plus products of square-and-multiply for powers n and m: l for 2^l and 1
+    steps = n.bit_length() + n.bit_count() + m.bit_length() + m.bit_count() - 4
+    need = 2 * steps * prec * 30103 // 100000 + 1  # decimal digits of 2*steps*prec bits
     max_digits = _MAX_DIGITS.get()
-    need = 2 * l * prec * 30103 // 100000 + 1  # decimal digits of 2*l*prec bits
-    if max_digits is not None and need > max_digits:
+    if need > max_digits:
         raise ToleranceUnachievableError(
-            f"2^{l}-th root or power at {prec}-bit precision needs {need} digits of squarings, "
+            f"{steps} squarings and products at {prec}-bit precision need {need} digits, "
             f"over the {max_digits}-digit budget"
         )
 
 
-def _pow2_bracket(v: int, l: int, prec: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2^e <= v^(2^l) <= hi * 2^e, for v >= 0.
+def _pow_bracket(v: int, n: int, prec: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= v^n <= hi * 2^e, for v >= 0 and n >= 1.
 
-    Each of the l squarings is cut back to about ``prec`` bits, by a floor
-    shift for lo and a ceiling shift for hi, so lo == hi exactly when no
-    squaring was rounded.
+    Square-and-multiply over the bits of n.  Each step is cut back to about
+    ``prec`` bits, by a floor shift for lo and a ceiling shift for hi, so
+    lo == hi exactly when no step was rounded.
     """
     lo = hi = v
     e = 0
-    for _ in range(l):
+    for bit in bin(n)[3:]:
         lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi = lo * v, hi * v
         drop = hi.bit_length() - prec
         if drop > 0:
             lo >>= drop
@@ -130,59 +95,119 @@ def _cmp_scaled(a: int, ea: int, b: int, eb: int) -> int:
     return (a > b) - (a < b)
 
 
-def pow2_cmp(base: Fraction, l: int, x: Fraction) -> int:
-    """sign(base^(2^l) - x) for base, x >= 0, without forming base^(2^l).
+def pow_cmp(base: Fraction, n: int, x: Fraction, m: int = 1) -> int:
+    """sign(base^n - x^m) for base, x >= 0 and n, m >= 1, forming neither power.
 
-    With base = p/q and x = X/Y this is the sign of p^(2^l)*Y - q^(2^l)*X.
-    Both powers are bracketed by :func:`_pow2_bracket` and the brackets are
-    cross-multiplied with X and Y.  While they overlap the precision doubles;
-    it ends exact once no squaring rounds, so equality is decided too.
+    With base = p/q and x = X/Y this is the sign of p^n*Y^m - q^n*X^m.  All
+    four powers are bracketed by :func:`_pow_bracket` and the brackets are
+    cross-multiplied.  While they overlap the precision doubles; it ends
+    exact once no step rounds, so equality is decided too.
     """
     p, q = base.numerator, base.denominator
     big_x, big_y = x.numerator, x.denominator
     prec = max(p.bit_length(), q.bit_length()) + _GUARD_BITS
     while True:
-        _check_budget(l, prec)
-        p_lo, p_hi, ep = _pow2_bracket(p, l, prec)
-        q_lo, q_hi, eq = _pow2_bracket(q, l, prec)
-        if _cmp_scaled(p_hi * big_y, ep, q_lo * big_x, eq) < 0:
+        _check_budget(prec, n, m)
+        p_lo, p_hi, ep = _pow_bracket(p, n, prec)
+        q_lo, q_hi, eq = _pow_bracket(q, n, prec)
+        x_lo, x_hi, ex = _pow_bracket(big_x, m, prec)
+        y_lo, y_hi, ey = _pow_bracket(big_y, m, prec)
+        if _cmp_scaled(p_hi * y_hi, ep + ey, q_lo * x_lo, eq + ex) < 0:
             return -1
-        if _cmp_scaled(p_lo * big_y, ep, q_hi * big_x, eq) > 0:
+        if _cmp_scaled(p_lo * y_lo, ep + ey, q_hi * x_hi, eq + ex) > 0:
             return 1
-        if p_lo == p_hi and q_lo == q_hi:
+        if p_lo == p_hi and q_lo == q_hi and x_lo == x_hi and y_lo == y_hi:
             return 0
         prec *= 2
 
 
-def _pow2_root_candidate(x: Fraction, l: int, digits: int) -> int:
-    """An estimate of floor(x^(1/2^l) * 10^digits), within a grid step or two.
+def _odd_root(a: int, e: int, o: int, prec: int) -> tuple[int, int]:
+    """(r, f) with r * 2^f ~ (a * 2^e)^(1/o) and r of about prec bits, for a > 0.
 
-    l floor square roots of a mantissa-exponent pair m * 2^e ~ x.  The working
-    precision is sized from the root's magnitude, so the estimate is as good
-    for a huge x as for a small one.
+    At working precision w the root is r * 2^f with f = top - w, where
+    top = floor(log2(a * 2^e) / o), so r lies in [2^(w-1), 2^(w+1)).  A
+    _SEED_BITS-bit r comes from bisection; then w doubles, with integer Newton
+    steps r <- ((o-1)*r + B / r^(o-1)) / o on B = a * 2^(e - f*o) at each w,
+    the power r^(o-1) rounded to w + _GUARD_BITS bits by :func:`_pow_bracket`.
+    """
+    top = (a.bit_length() + e) // o
+    w = _SEED_BITS
+    f = top - w
+    r, hi = 1 << (w - 1), 1 << (w + 1)
+    while hi - r > 1:
+        mid = (r + hi) >> 1
+        p, _, ep = _pow_bracket(mid, o, 2 * w)
+        if _cmp_scaled(p, ep + f * o, a, e) <= 0:
+            r = mid
+        else:
+            hi = mid
+    while True:
+        while True:
+            p, _, ep = _pow_bracket(r, o - 1, w + _GUARD_BITS)
+            s = e - f * o - ep
+            step = ((o - 1) * r + ((a << s) if s >= 0 else (a >> -s)) // p) // o - r
+            r += step
+            if abs(step) <= 2:
+                break
+        if w >= prec:
+            return r, f
+        grow = min(w, prec - w)
+        w, f, r = w + grow, f - grow, r << grow
+
+
+def _root_candidate(x: Fraction, n: int, digits: int, m: int = 1) -> int:
+    """An estimate of floor(x^(m/n) * 10^digits), within a grid step or two.
+
+    From a mantissa-exponent pair a * 2^e ~ x^m, l floor square roots take
+    the power-of-two part 2^l of n and :func:`_odd_root` the odd part.  The
+    working precision is sized from the root's magnitude, so the estimate is
+    as good for a huge x as for a small one.
     """
     num, den = x.numerator, x.denominator
-    log2_x = num.bit_length() - den.bit_length()  # within 1 of log2(x)
-    prec = max(0, (log2_x >> l) + digits * 10 // 3) + _GUARD_BITS
-    _check_budget(l, prec)
-    shift = 2 * prec - log2_x
-    m = (num << shift) // den if shift >= 0 else num // (den << -shift)
-    e = -shift
+    if num == 0:
+        return 0
+    l = (n & -n).bit_length() - 1
+    num_lo, _, e_num = _pow_bracket(num, m, _GUARD_BITS)
+    den_lo, _, e_den = _pow_bracket(den, m, _GUARD_BITS)
+    log2_x = num_lo.bit_length() + e_num - den_lo.bit_length() - e_den  # within 2 of log2(x^m)
+    prec = max(0, log2_x // n + digits * 10 // 3) + _GUARD_BITS
+    _check_budget(prec, n, m)
+    num, _, e_num = _pow_bracket(num, m, 2 * prec)
+    den, _, e_den = _pow_bracket(den, m, 2 * prec)
+    shift = 2 * prec - num.bit_length() + den.bit_length()
+    a = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    e = e_num - e_den - shift
     for _ in range(l):
         # back to 2*prec bits with an even exponent, so the root keeps prec bits
-        t = 2 * prec - m.bit_length()
+        t = 2 * prec - a.bit_length()
         t += (e - t) & 1
-        m = m << t if t >= 0 else m >> -t
-        m, e = math.isqrt(m), (e - t) // 2
-    r = m * 10 ** digits
+        a = a << t if t >= 0 else a >> -t
+        a, e = math.isqrt(a), (e - t) // 2
+    if n >> l > 1:
+        a, e = _odd_root(a, e, n >> l, prec)
+    r = a * 10 ** digits
     return r << e if e >= 0 else r >> -e
 
 
-def _check_root_args(x: Fraction, n: int) -> None:
+def _grid_bound(x: Fraction, n: int, digits: int, m: int, upper: bool) -> Fraction:
+    """The largest grid point r/10^digits with (r/10^digits)^n <= x^m, or with
+    ``upper`` the smallest with >=, by +-1 steps from the candidate."""
     if x < 0:
         raise ValueError("negative radicand")
     if n < 1:
         raise ValueError("root order must be >= 1")
+    scale = 10 ** digits
+    side = 1 if upper else -1
+
+    def holds(r: int) -> bool:
+        return r >= 0 and side * pow_cmp(Fraction(r, scale), n, x, m) >= 0
+
+    r = _root_candidate(x, n, digits, m) + upper
+    while not holds(r):
+        r += side
+    while holds(r - side):
+        r -= side
+    return Fraction(r, scale)
 
 
 def nth_root_lower(x: Fraction, n: int, digits: int) -> Fraction:
@@ -190,18 +215,7 @@ def nth_root_lower(x: Fraction, n: int, digits: int) -> Fraction:
 
     The true root lies in [result, result + 10^-digits).
     """
-    _check_root_args(x, n)
-    scale = 10 ** digits
-    if n & (n - 1):
-        scaled = (x.numerator * scale ** n) // x.denominator
-        return Fraction(floor_nth_root(scaled, n), scale)
-    l = n.bit_length() - 1
-    r = _pow2_root_candidate(x, l, digits)
-    while r > 0 and pow2_cmp(Fraction(r, scale), l, x) > 0:
-        r -= 1
-    while pow2_cmp(Fraction(r + 1, scale), l, x) <= 0:
-        r += 1
-    return Fraction(r, scale)
+    return _grid_bound(x, n, digits, 1, False)
 
 
 def nth_root_upper(x: Fraction, n: int, digits: int) -> Fraction:
@@ -209,32 +223,21 @@ def nth_root_upper(x: Fraction, n: int, digits: int) -> Fraction:
 
     The true root lies in (result - 10^-digits, result].
     """
-    _check_root_args(x, n)
-    scale = 10 ** digits
-    if n & (n - 1):
-        num = x.numerator * scale ** n
-        scaled = -((-num) // x.denominator)  # ceil division
-        return Fraction(ceil_nth_root(scaled, n), scale)
-    l = n.bit_length() - 1
-    t = _pow2_root_candidate(x, l, digits) + 1
-    while pow2_cmp(Fraction(t, scale), l, x) < 0:
-        t += 1
-    while t > 0 and pow2_cmp(Fraction(t - 1, scale), l, x) >= 0:
-        t -= 1
-    return Fraction(t, scale)
+    return _grid_bound(x, n, digits, 1, True)
 
 
 def pow_lower(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
     """Certified lower bound for x^exponent, x >= 0, exponent >= 0.
 
-    Exact (not rounded) when the exponent is an integer; otherwise the bound
-    sits on the 10^-digits grid via x^(u/v) = (x^u)^(1/v).
+    Exact (not rounded) when the exponent is an integer; otherwise the
+    largest grid point r/10^digits with (r/10^digits)^v <= x^u for
+    exponent = u/v.
     """
     if exponent < 0:
         raise ValueError("negative exponents not supported")
     if exponent.denominator == 1:
         return x ** int(exponent)
-    return nth_root_lower(x ** exponent.numerator, exponent.denominator, digits)
+    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, False)
 
 
 def pow_upper(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
@@ -243,7 +246,7 @@ def pow_upper(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
         raise ValueError("negative exponents not supported")
     if exponent.denominator == 1:
         return x ** int(exponent)
-    return nth_root_upper(x ** exponent.numerator, exponent.denominator, digits)
+    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, True)
 
 
 def digits_for(target: Fraction) -> int:
@@ -257,7 +260,7 @@ def digits_for(target: Fraction) -> int:
     if target >= 1:
         return 0
     inv = 1 / target
-    s = max(0, int((inv.numerator.bit_length() - inv.denominator.bit_length()) * 0.30103) - 1)
+    s = max(0, (inv.numerator.bit_length() - inv.denominator.bit_length()) * 30103 // 100000 - 1)
     while Fraction(1, 10 ** s) > target:
         s += 1
     while s > 0 and Fraction(1, 10 ** (s - 1)) <= target:

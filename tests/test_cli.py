@@ -155,6 +155,20 @@ def test_general_sandwich_violation_exit_2(tmp_path, capsys):
     assert "C2" in captured.err
 
 
+def test_general_cap_exit_3(tmp_path, capsys):
+    doc_path = tmp_path / "family.json"
+    doc_path.write_text(json.dumps({
+        "c1": "1", "c2": "2", "delta": "1", "power": 2,
+        "alpha": "1", "beta": "1", "d0": "2",
+    }))
+    # the orbit of z^2 + 1 doubles its bits each step: refuse before iterating
+    assert run(["general", "--file", str(doc_path), "--n", "18", "--cap", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap=5" in captured.err
+    assert run(["general", "--file", str(doc_path), "--n", "31"]) == 3
+    assert "cap=30" in capsys.readouterr().err
+
+
 def test_matrix_command(tmp_path, capsys):
     doc_path = tmp_path / "matrix.json"
     eye = [["1", "0"], ["0", "1"]]

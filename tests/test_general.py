@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from recgrow import (
     Params,
     PowerFamily,
     PowerNonlinearity,
+    ToleranceUnachievableError,
     closed_form_lower,
     envelope,
     evaluate,
@@ -14,6 +17,7 @@ from recgrow import (
     lower_bound,
     verify_sandwich,
 )
+from recgrow.roots import digit_budget
 
 F = Fraction
 
@@ -138,6 +142,17 @@ def test_closed_form_noninteger_delta_returns_bracket():
     assert hi - lo < F(1, 10 ** 20)
 
 
+def test_noninteger_powers_share_the_digit_budget():
+    # roots' one budget covers general too: its default applies outside any
+    # digit_budget block, and a pass over it is refused before it is built
+    pn = _pn(2, 3, F(3, 5))
+    with pytest.raises(ToleranceUnachievableError, match="over the 2000000-digit budget"):
+        closed_form_lower(pn, 2, 3, root_digits=10 ** 6)
+    with digit_budget(100):
+        with pytest.raises(ToleranceUnachievableError, match="over the 100-digit budget"):
+            envelope(pn, 2, 2)
+
+
 def test_per_step_coefficient_tables():
     family = PowerFamily(power=2, alpha=(F(1), F(2)), beta=(F(0), F(1)))
     assert family.apply(0, F(3)) == 9
@@ -155,3 +170,57 @@ def test_nonlinearity_validation():
         _pn(1, 2, 0)  # delta must be positive
     with pytest.raises(ValueError):
         PowerFamily(power=0, alpha=F(1), beta=F(1))
+
+
+_POSITIVE = st.builds(F, st.integers(1, 8), st.integers(1, 4))
+_NONNEGATIVE = st.builds(F, st.integers(0, 8), st.integers(1, 4))
+
+
+@st.composite
+def _envelope_cases(draw):
+    """A family, claimed constants (C1, C2, delta), seed, n_max and root digits.
+
+    C1 and C2 start from min F/z^ceil(1+delta) and max F/z^floor(1+delta) over
+    the orbit, which bracket F/z^(1+delta) for z >= 1, and are then scaled by
+    a random factor that may break the sandwich claim."""
+    power = draw(st.integers(1, 3))
+    n_max = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        alpha, beta = draw(_POSITIVE), draw(_NONNEGATIVE)
+    else:
+        alpha = tuple(draw(st.lists(_POSITIVE, min_size=n_max, max_size=n_max)))
+        beta = tuple(draw(st.lists(_NONNEGATIVE, min_size=n_max, max_size=n_max)))
+    family = PowerFamily(power=power, alpha=alpha, beta=beta)
+    delta = draw(st.sampled_from([F(1), F(2), F(1, 2), F(2, 3), F(3, 5), F(3, 2), F(5, 3)]))
+    d0 = 1 + draw(st.integers(0, 8)) * F(1, draw(st.integers(1, 4)))
+    orbit = iterate_family(family, d0, n_max)
+    assume(min(orbit) >= 1)  # the sandwich is claimed for z >= 1 only
+    e = 1 + delta
+    ratios = [(family.apply(n, z), z) for n in range(n_max) for z in sorted(set(orbit) | {F(1)})]
+    c1 = min(f / z ** -(-e.numerator // e.denominator) for f, z in ratios) * F(draw(st.integers(1, 6)), 4)
+    c2 = max(f / z ** (e.numerator // e.denominator) for f, z in ratios) * F(draw(st.integers(2, 8)), 4)
+    assume(0 < c1 <= c2)
+    pn = PowerNonlinearity(c1=c1, c2=c2, delta=delta, family=family)
+    return pn, d0, n_max, draw(st.integers(1, 30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_envelope_cases())
+def test_envelope_contains_the_orbit(case):
+    pn, d0, n_max, digits = case
+    orbit = iterate_family(pn.family, d0, n_max)
+    # as the general command does: only a sandwich that holds on the orbit is enveloped
+    assume(verify_sandwich(pn, sorted(set(orbit) | {F(1)}), range(n_max)).ok)
+    try:
+        pair = envelope(pn, d0, n_max, root_digits=digits)
+    except ValueError:
+        assume(False)  # the lower envelope left the z >= 1 regime
+    e = 1 + pn.delta
+    u, v = e.numerator, e.denominator
+    assert pair.exact == (v == 1)
+    for n in range(n_max + 1):
+        assert pair.lower[n] <= orbit[n] <= pair.upper[n]
+    # directed rounding, exactly: (L(n+1)/C1)^v <= L(n)^u and (U(n+1)/C2)^v >= U(n)^u
+    for n in range(n_max):
+        assert (pair.lower[n + 1] / pn.c1) ** v <= pair.lower[n] ** u
+        assert (pair.upper[n + 1] / pn.c2) ** v >= pair.upper[n] ** u

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,19 +8,48 @@ from hypothesis import strategies as st
 
 import recgrow.roots as roots
 from recgrow import ToleranceUnachievableError
-from recgrow.roots import (
-    ceil_nth_root,
-    digits_for,
-    floor_nth_root,
-    floor_pow2_root,
-    nth_root_lower,
-    nth_root_upper,
-    pow2_cmp,
-    pow_lower,
-    pow_upper,
-)
+from recgrow.roots import digits_for, nth_root_lower, nth_root_upper, pow_cmp, pow_lower, pow_upper
 
 F = Fraction
+
+
+def floor_nth_root(x: int, n: int) -> int:
+    """Largest r with r^n <= x, for x >= 0, n >= 1: the exact oracle.
+
+    Integer Newton iteration from above on the whole radicand, then clamped;
+    the final adjustment loops make the result exact regardless of how the
+    iteration landed.
+    """
+    if x < 0:
+        raise ValueError("negative radicand")
+    if n < 1:
+        raise ValueError("root order must be >= 1")
+    if n == 1 or x in (0, 1):
+        return x
+    r = 1 << -(-x.bit_length() // n)  # 2^ceil(bits/n) >= true root
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            break
+        r = s
+    while r ** n > x:
+        r -= 1
+    while (r + 1) ** n <= x:
+        r += 1
+    return r
+
+
+def ceil_nth_root(x: int, n: int) -> int:
+    """Smallest r with r^n >= x, for x >= 0, n >= 1."""
+    r = floor_nth_root(x, n)
+    return r if r ** n == x else r + 1
+
+
+def floor_pow2_root(x: int, l: int) -> int:
+    """floor(x^(1/2^l)) by l composed floor square roots."""
+    for _ in range(l):
+        x = math.isqrt(x)
+    return x
 
 
 def test_floor_root_edges():
@@ -118,28 +148,50 @@ def _exact_upper(x, n, digits):
 
 
 @st.composite
-def _pow2_root_cases(draw):
-    """(x, l, digits) with l <= 9: random rationals, and grid points raised to
-    the 2^l-th power and nudged by a tiny amount or not at all."""
-    l = draw(st.integers(0, 9))
+def _root_cases(draw):
+    """(x, n, m, digits) with n <= 12 and m <= 9: random rationals, and values
+    x = t^n whose power x^(m/n) = t^m is a grid point, nudged by a tiny amount
+    or not at all."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 9))
     digits = draw(st.integers(0, 30))
     magnitude = st.integers(0, 40).map(lambda k: 10 ** k)
     if draw(st.booleans()):
         x = F(draw(st.integers(0, draw(magnitude))), draw(st.integers(1, draw(magnitude))))
     else:
-        r = draw(st.integers(0, 10 ** (digits + 3)))
+        t = F(draw(st.integers(0, 10 ** (digits // m + 3))), 10 ** (digits // m))
         nudge = draw(st.sampled_from([-1, 0, 1])) * F(1, draw(magnitude))
-        x = max(F(0), F(r, 10 ** digits) ** (2 ** l) + nudge)
-    return x, l, digits
+        x = max(F(0), t ** n + nudge)
+    return x, n, m, digits
 
 
-@settings(max_examples=300, deadline=None)
-@given(_pow2_root_cases())
+@settings(max_examples=400, deadline=None)
+@given(_root_cases())
 def test_pow2_roots_match_exact_radicand(case):
-    x, l, digits = case
-    n = 2 ** l
+    # every order n <= 12, and rational powers x^(m/n) without forming x^m
+    x, n, m, digits = case
     assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
     assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
+    exponent = F(m, n)
+    if exponent.denominator > 1:
+        assert pow_lower(x, exponent, digits) == _exact_lower(x ** m, n, digits)
+        assert pow_upper(x, exponent, digits) == _exact_upper(x ** m, n, digits)
+
+
+@pytest.mark.parametrize(
+    "x, exponent",
+    [(F(3), F(1001, 2)), (F(7, 5), F(4001, 3)), (F(5, 7), F(20001, 5)), (F(10 ** 30 + 1, 3), F(301, 11))],
+)
+def test_large_exponent_numerators_match_exact_radicand(x, exponent):
+    # the candidate sizes its precision from x^m itself: an estimate of
+    # m*log2(x) from bit lengths alone can be off by m bits, far more than
+    # the guard bits once m/n is large
+    m, n = exponent.numerator, exponent.denominator
+    for digits in (0, 10, 30):
+        lower = _exact_lower(x ** m, n, digits)
+        assert abs(roots._root_candidate(x, n, digits, m) - lower.numerator * 10 ** digits // lower.denominator) <= 2
+        assert pow_lower(x, exponent, digits) == lower
+        assert pow_upper(x, exponent, digits) == _exact_upper(x ** m, n, digits)
 
 
 @pytest.mark.parametrize("l", range(10))
@@ -147,10 +199,10 @@ def test_pow2_exact_hits_are_decided_exactly(l):
     n = 2 ** l
     for base in (F(3, 2), F(1, 5), F(1)):
         x = base ** n
-        assert pow2_cmp(base, l, x) == 0
+        assert pow_cmp(base, n, x) == 0
         nudge = x / 10 ** 50
-        assert pow2_cmp(base, l, x + nudge) == -1
-        assert pow2_cmp(base, l, x - nudge) == 1
+        assert pow_cmp(base, n, x + nudge) == -1
+        assert pow_cmp(base, n, x - nudge) == 1
         for digits in (1, 2, 17):
             assert nth_root_lower(x, n, digits) == base == nth_root_upper(x, n, digits)
     for digits in (0, 5):
@@ -163,15 +215,19 @@ def test_pow2_exact_hits_are_decided_exactly(l):
 
 @pytest.mark.parametrize("offset", [-3, 3])
 def test_pow2_roots_recover_from_a_bad_candidate(monkeypatch, offset):
-    candidate = roots._pow2_root_candidate
-    monkeypatch.setattr(roots, "_pow2_root_candidate", lambda x, l, digits: max(0, candidate(x, l, digits) + offset))
+    candidate = roots._root_candidate
+    monkeypatch.setattr(
+        roots, "_root_candidate", lambda x, n, digits, m=1: max(0, candidate(x, n, digits, m) + offset)
+    )
     rng = random.Random(7)
     for _ in range(40):
         x = F(rng.randint(1, 10 ** 30), rng.randint(1, 10 ** 20))
-        l, digits = rng.randint(1, 9), rng.randint(0, 25)
-        n = 2 ** l
+        n, m, digits = rng.randint(1, 12), rng.randint(1, 9), rng.randint(0, 25)
         assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
         assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
+        if F(m, n).denominator > 1:
+            assert pow_lower(x, F(m, n), digits) == _exact_lower(x ** m, n, digits)
+            assert pow_upper(x, F(m, n), digits) == _exact_upper(x ** m, n, digits)
 
 
 def test_pow2_cmp_doubling_stops_at_the_digit_budget(monkeypatch):
@@ -181,19 +237,33 @@ def test_pow2_cmp_doubling_stops_at_the_digit_budget(monkeypatch):
     base, l = F(123456789, 10 ** 9), 8
     x = base ** (2 ** l)
     precs = []
-    bracket = roots._pow2_bracket
-    monkeypatch.setattr(roots, "_pow2_bracket", lambda v, l, prec: precs.append(prec) or bracket(v, l, prec))
+    bracket = roots._pow_bracket
+    monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: precs.append(prec) or bracket(v, n, prec))
     with roots.digit_budget(2000):
         with pytest.raises(ToleranceUnachievableError, match="over the 2000-digit budget"):
-            pow2_cmp(base, l, x)
+            pow_cmp(base, 2 ** l, x)
     assert len(set(precs)) > 1 and max(2 * l * p for p in precs) * 30103 // 100000 + 1 <= 2000
     with roots.digit_budget(10 ** 6):
-        assert pow2_cmp(base, l, x) == 0
-    assert pow2_cmp(base, l, x) == 0  # no budget outside the block
+        assert pow_cmp(base, 2 ** l, x) == 0
+    assert pow_cmp(base, 2 ** l, x) == 0  # the default budget outside the block
 
 
 def test_pow2_root_candidate_checks_the_budget_first(monkeypatch):
+    bracket = roots._pow_bracket
+
+    def guarded_bracket(v, n, prec):
+        # only the magnitude estimate of x^m, at the guard width, may precede the check
+        if prec > roots._GUARD_BITS:
+            pytest.fail("power taken over budget")
+        return bracket(v, n, prec)
+
+    monkeypatch.setattr(roots, "_pow_bracket", guarded_bracket)
     monkeypatch.setattr(roots.math, "isqrt", lambda m: pytest.fail("square root taken over budget"))
     with roots.digit_budget(100):
-        with pytest.raises(ToleranceUnachievableError):
-            nth_root_lower(F(2), 2 ** 10, 50)
+        for call in (
+            lambda: nth_root_lower(F(2), 2 ** 10, 50),
+            lambda: nth_root_upper(F(2), 3 * 2 ** 10, 50),
+            lambda: pow_lower(F(3), F(1001, 3), 50),
+        ):
+            with pytest.raises(ToleranceUnachievableError):
+                call()

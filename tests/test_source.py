@@ -31,3 +31,14 @@ def test_no_certifying_asserts_in_package_source():
     assert modules
     found = [a for path in modules for a in _asserts(path)]
     assert [a for a in found if a[:2] not in ALLOWED_ASSERTS] == []
+
+
+def test_no_float_constants_in_package_source():
+    # every certified value is decided in integers; a float literal is a rounding that nothing certifies
+    found = [
+        (path.name, node.lineno, node.value)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+    ]
+    assert found == []
