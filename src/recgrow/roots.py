@@ -100,12 +100,15 @@ def pow_cmp(base: Fraction, n: int, x: Fraction, m: int = 1) -> int:
 
     With base = p/q and x = X/Y this is the sign of p^n*Y^m - q^n*X^m.  All
     four powers are bracketed by :func:`_pow_bracket` and the brackets are
-    cross-multiplied.  While they overlap the precision doubles; it ends
-    exact once no step rounds, so equality is decided too.
+    cross-multiplied.  While they overlap the precision doubles, up to the
+    size of the largest exact power, where no step rounds, so equality is
+    decided too.
     """
     p, q = base.numerator, base.denominator
     big_x, big_y = x.numerator, x.denominator
     prec = max(p.bit_length(), q.bit_length()) + _GUARD_BITS
+    # no step rounds once prec reaches the bit length of the largest power
+    exact_prec = max(n * max(p.bit_length(), q.bit_length()), m * max(big_x.bit_length(), big_y.bit_length()))
     while True:
         _check_budget(prec, n, m)
         p_lo, p_hi, ep = _pow_bracket(p, n, prec)
@@ -118,7 +121,7 @@ def pow_cmp(base: Fraction, n: int, x: Fraction, m: int = 1) -> int:
             return 1
         if p_lo == p_hi and q_lo == q_hi and x_lo == x_hi and y_lo == y_hi:
             return 0
-        prec *= 2
+        prec = min(2 * prec, exact_prec)
 
 
 def _odd_root(a: int, e: int, o: int, prec: int) -> tuple[int, int]:

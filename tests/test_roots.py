@@ -194,6 +194,20 @@ def test_large_exponent_numerators_match_exact_radicand(x, exponent):
         assert pow_upper(x, exponent, digits) == _exact_upper(x ** m, n, digits)
 
 
+def test_exact_hits_of_large_powers_stop_doubling_at_the_exact_size(monkeypatch):
+    # x^(2224/37) = 3^2224 exactly: the last pass runs at the bit length of
+    # the largest exact power, not at the next doubling past it, which would
+    # be over the default budget
+    x = F(3) ** 37
+    assert pow_lower(x, F(2224, 37), 5) == 3 ** 2224 == pow_upper(x, F(2224, 37), 5)
+    precs = []
+    bracket = roots._pow_bracket
+    monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: precs.append(prec) or bracket(v, n, prec))
+    base = F(123456789, 10 ** 9)
+    assert pow_cmp(base, 2 ** 8, base ** (2 ** 8)) == 0
+    assert max(precs) == 2 ** 8 * 30  # 30 = bits of the larger of 123456789 and 10^9
+
+
 @pytest.mark.parametrize("l", range(10))
 def test_pow2_exact_hits_are_decided_exactly(l):
     n = 2 ** l
