@@ -44,8 +44,8 @@ _MAX_DIGITS: ContextVar = ContextVar("max_digits", default=DEFAULT_MAX_DIGITS)
 def digit_budget(max_digits: int):
     """Within the block, a root or power comparison raises
     ToleranceUnachievableError instead of starting a pass whose square roots,
-    squarings or products of about 2*prec-bit integers would build more than
-    max_digits decimal digits in all."""
+    squarings or products, each of at most about 2*prec bits, would build more
+    than max_digits decimal digits in all (see :func:`_check_budget`)."""
     token = _MAX_DIGITS.set(max_digits)
     try:
         yield
@@ -53,14 +53,20 @@ def digit_budget(max_digits: int):
         _MAX_DIGITS.reset(token)
 
 
-def _check_budget(prec: int, n: int, m: int = 1) -> None:
-    # squarings plus products of square-and-multiply for powers n and m: l for 2^l and 1
-    steps = n.bit_length() + n.bit_count() + m.bit_length() + m.bit_count() - 4
-    need = 2 * steps * prec * 30103 // 100000 + 1  # decimal digits of 2*steps*prec bits
+def _check_budget(prec: int, *powers: tuple[int, int]) -> None:
+    # each (n, v_bits) is a power v^n by square-and-multiply of a v of at most v_bits
+    # bits; a step reaching v^k builds 2*min(prec, k*v_bits) bits, 2*prec once k*v_bits >= prec
+    charges = [
+        2 * min(prec, k * v_bits)
+        for n, v_bits in powers
+        for i in range(n.bit_length() - 1)
+        for k in {2 * (n >> i + 1), n >> i}  # the squaring's power, and the product's if bit i is set
+    ]
+    need = sum(charges) * 30103 // 100000 + 1  # decimal digits of that many bits
     max_digits = _MAX_DIGITS.get()
     if need > max_digits:
         raise ToleranceUnachievableError(
-            f"{steps} squarings and products at {prec}-bit precision need {need} digits, "
+            f"{len(charges)} squarings and products at {prec}-bit precision need {need} digits, "
             f"over the {max_digits}-digit budget"
         )
 
@@ -106,11 +112,13 @@ def pow_cmp(base: Fraction, n: int, x: Fraction, m: int = 1) -> int:
     """
     p, q = base.numerator, base.denominator
     big_x, big_y = x.numerator, x.denominator
-    prec = max(p.bit_length(), q.bit_length()) + _GUARD_BITS
+    base_bits = max(p.bit_length(), q.bit_length())
+    x_bits = max(big_x.bit_length(), big_y.bit_length())
+    prec = base_bits + _GUARD_BITS
     # no step rounds once prec reaches the bit length of the largest power
-    exact_prec = max(n * max(p.bit_length(), q.bit_length()), m * max(big_x.bit_length(), big_y.bit_length()))
+    exact_prec = max(n * base_bits, m * x_bits)
     while True:
-        _check_budget(prec, n, m)
+        _check_budget(prec, (n, base_bits), (m, x_bits))
         p_lo, p_hi, ep = _pow_bracket(p, n, prec)
         q_lo, q_hi, eq = _pow_bracket(q, n, prec)
         x_lo, x_hi, ex = _pow_bracket(big_x, m, prec)
@@ -158,7 +166,7 @@ def _odd_root(a: int, e: int, o: int, prec: int) -> tuple[int, int]:
         w, f, r = w + grow, f - grow, r << grow
 
 
-def _root_candidate(x: Fraction, n: int, digits: int, m: int = 1) -> int:
+def _root_candidate(x: Fraction, n: int, digits: int, m: int) -> int:
     """An estimate of floor(x^(m/n) * 10^digits), within a grid step or two.
 
     From a mantissa-exponent pair a * 2^e ~ x^m, l floor square roots take
@@ -174,7 +182,8 @@ def _root_candidate(x: Fraction, n: int, digits: int, m: int = 1) -> int:
     den_lo, _, e_den = _pow_bracket(den, m, _GUARD_BITS)
     log2_x = num_lo.bit_length() + e_num - den_lo.bit_length() - e_den  # within 2 of log2(x^m)
     prec = max(0, log2_x // n + digits * 10 // 3) + _GUARD_BITS
-    _check_budget(prec, n, m)
+    # the root steps work on 2*prec-bit integers whatever the size of x^m
+    _check_budget(prec, (n, prec), (m, max(num.bit_length(), den.bit_length())))
     num, _, e_num = _pow_bracket(num, m, 2 * prec)
     den, _, e_den = _pow_bracket(den, m, 2 * prec)
     shift = 2 * prec - num.bit_length() + den.bit_length()

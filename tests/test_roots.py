@@ -147,12 +147,16 @@ def _exact_upper(x, n, digits):
     return F(ceil_nth_root(ceil_scaled, n), scale)
 
 
+#: The orders 2^l, l <= 9, that growth takes, beyond the small orders n <= 12.
+_POW2_ORDERS = [2 ** l for l in range(10)]
+
+
 @st.composite
 def _root_cases(draw):
-    """(x, n, m, digits) with n <= 12 and m <= 9: random rationals, and values
-    x = t^n whose power x^(m/n) = t^m is a grid point, nudged by a tiny amount
-    or not at all."""
-    n = draw(st.integers(1, 12))
+    """(x, n, m, digits) with n <= 12 or n = 2^l, l <= 9, and m <= 9: random
+    rationals, and values x = t^n whose power x^(m/n) = t^m is a grid point,
+    nudged by a tiny amount or not at all."""
+    n = draw(st.one_of(st.integers(1, 12), st.sampled_from(_POW2_ORDERS)))
     m = draw(st.integers(1, 9))
     digits = draw(st.integers(0, 30))
     magnitude = st.integers(0, 40).map(lambda k: 10 ** k)
@@ -168,7 +172,8 @@ def _root_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(_root_cases())
 def test_pow2_roots_match_exact_radicand(case):
-    # every order n <= 12, and rational powers x^(m/n) without forming x^m
+    # every order n <= 12, the orders 2^l up to 512, and rational powers
+    # x^(m/n) without forming x^m
     x, n, m, digits = case
     assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
     assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
@@ -208,6 +213,14 @@ def test_exact_hits_of_large_powers_stop_doubling_at_the_exact_size(monkeypatch)
     assert max(precs) == 2 ** 8 * 30  # 30 = bits of the larger of 123456789 and 10^9
 
 
+def test_exact_hits_of_large_powers_fit_the_budget():
+    # x^(3001/37) = 3^3001 exactly: the passes that double towards the exact
+    # powers are charged for the powers they build, which stay far smaller
+    # than the working precision times the step count
+    x = F(3) ** 37
+    assert pow_lower(x, F(3001, 37), 5) == 3 ** 3001 == pow_upper(x, F(3001, 37), 5)
+
+
 @pytest.mark.parametrize("l", range(10))
 def test_pow2_exact_hits_are_decided_exactly(l):
     n = 2 ** l
@@ -236,7 +249,8 @@ def test_pow2_roots_recover_from_a_bad_candidate(monkeypatch, offset):
     rng = random.Random(7)
     for _ in range(40):
         x = F(rng.randint(1, 10 ** 30), rng.randint(1, 10 ** 20))
-        n, m, digits = rng.randint(1, 12), rng.randint(1, 9), rng.randint(0, 25)
+        n = rng.choice(sorted(set(range(1, 13)) | set(_POW2_ORDERS)))
+        m, digits = rng.randint(1, 9), rng.randint(0, 25)
         assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
         assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
         if F(m, n).denominator > 1:
