@@ -1,114 +1,40 @@
 """recgrow: exact evaluation and certified growth bounds for the quadratic
-recursion D(n+1) = a + b*D(n)^2, plus its power-law and matrix relatives."""
+recursion D(n+1) = a + b*D(n)^2, plus its power-law and matrix relatives.
 
-from .errors import (
-    CapExceededError,
-    CertificateError,
-    InvalidParamsError,
-    NonIntegerParamsError,
-    RecgrowError,
-    ToleranceUnachievableError,
-)
-from .recurrence import (
-    DEFAULT_CAP,
-    Params,
-    SequenceTable,
-    ValidationReport,
-    evaluate,
-    is_monotone,
-    validate_params,
-)
-from .bounds import (
-    BoundCertificate,
-    ConvergenceProfile,
-    certify,
-    convergence_profile,
-    integer_envelope,
-    lower_bound,
-    q_factor,
-    ratio,
-    upper_bound,
-)
-from .growth import (
-    BenchmarkRow,
-    GrowthEnclosure,
-    compare_to_benchmark,
-    doubling_benchmark,
-    growth_enclosure,
-    log_log_index,
-)
-from .general import (
-    EnvelopePair,
-    PowerFamily,
-    PowerNonlinearity,
-    closed_form_lower,
-    envelope,
-    iterate_family,
-    verify_sandwich,
-)
-from .matrixrec import (
-    MATRIX_DEFAULT_CAP,
-    MatrixParams,
-    evaluate_matrix,
-    max_row_sum,
-    scalar_envelope,
-)
-from .nsmodel import (
-    CostProjection,
-    NsModel,
-    cost_projection,
-    published_3d_discrepancies,
-    summand_budget,
-    term_count,
-)
+Importing the package loads none of its modules: each public name is imported
+from its home module on first access (PEP 562), so a caller pays only for the
+modules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchmarkRow",
-    "BoundCertificate",
-    "CapExceededError",
-    "CertificateError",
-    "ConvergenceProfile",
-    "CostProjection",
-    "DEFAULT_CAP",
-    "EnvelopePair",
-    "GrowthEnclosure",
-    "InvalidParamsError",
-    "MATRIX_DEFAULT_CAP",
-    "MatrixParams",
-    "NonIntegerParamsError",
-    "NsModel",
-    "Params",
-    "PowerFamily",
-    "PowerNonlinearity",
-    "RecgrowError",
-    "SequenceTable",
+#: the public names of each home module
+_EXPORTS = {
+    "errors": "CapExceededError CertificateError InvalidParamsError NonIntegerParamsError RecgrowError "
     "ToleranceUnachievableError",
-    "ValidationReport",
-    "certify",
-    "closed_form_lower",
-    "compare_to_benchmark",
-    "convergence_profile",
-    "cost_projection",
-    "doubling_benchmark",
-    "envelope",
-    "evaluate",
-    "evaluate_matrix",
-    "growth_enclosure",
-    "integer_envelope",
-    "is_monotone",
-    "iterate_family",
-    "log_log_index",
-    "lower_bound",
-    "max_row_sum",
-    "published_3d_discrepancies",
-    "q_factor",
-    "ratio",
-    "scalar_envelope",
-    "summand_budget",
-    "term_count",
-    "upper_bound",
+    "recurrence": "DEFAULT_CAP MATRIX_DEFAULT_CAP Params SequenceTable ValidationReport evaluate is_monotone "
     "validate_params",
-    "verify_sandwich",
-]
+    "bounds": "BoundCertificate ConvergenceProfile certify convergence_profile integer_envelope lower_bound "
+    "q_factor ratio upper_bound",
+    "growth": "BenchmarkRow GrowthEnclosure compare_to_benchmark doubling_benchmark growth_enclosure log_log_index",
+    "general": "EnvelopePair PowerFamily PowerNonlinearity closed_form_lower envelope iterate_family verify_sandwich",
+    "matrixrec": "MatrixParams evaluate_matrix max_row_sum scalar_envelope",
+    "nsmodel": "CostProjection NsModel cost_projection published_3d_discrepancies summand_budget term_count",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

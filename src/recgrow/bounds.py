@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError, NonIntegerParamsError
@@ -50,26 +49,16 @@ def q_factor(params: Params, table: SequenceTable, l: int) -> Fraction:
     return 1 + params.a / (params.b * table[l] ** 2)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(namedtuple("BoundCertificate", "k l q_l lower upper actual ratio holds")):
     """One exactly checked instance of the bilateral bound at a (k, l) pair."""
 
-    k: int
-    l: int
-    q_l: Fraction
-    lower: Fraction
-    upper: Fraction
-    actual: Fraction
-    ratio: Fraction
-    holds: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConvergenceProfile:
+class ConvergenceProfile(namedtuple("ConvergenceProfile", "k rows")):
     """Rows (l, ratio - 1, Q(l)^(2^k - 1) - 1) for fixed k, ordered by l."""
 
-    k: int
-    rows: tuple[tuple[int, Fraction, Fraction], ...]
+    __slots__ = ()
 
 
 def _ratio(b: Fraction, d: Fraction, act: Fraction, lo: Fraction) -> Fraction:

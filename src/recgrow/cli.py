@@ -18,17 +18,23 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from . import bounds as bounds_mod
-from . import general as general_mod
-from . import growth as growth_mod
-from . import matrixrec
-from . import nsmodel
+# the subcommand modules (bounds, growth, general, matrixrec, nsmodel) are imported
+# by the handlers that run them, so each invocation loads only what it uses
 from .errors import CapExceededError, CertificateError, InvalidParamsError, ToleranceUnachievableError
-from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate, is_monotone, validate_params
+from .recurrence import (
+    DEFAULT_CAP,
+    DEFAULT_MAX_DIGITS,
+    DEFAULT_ROOT_DIGITS,
+    MATRIX_DEFAULT_CAP,
+    Params,
+    SequenceTable,
+    evaluate,
+    is_monotone,
+    validate_params,
+)
 from .serialize import (
     EXACT,
     canonical_json_bytes,
@@ -81,17 +87,20 @@ def _pos_int(text: str) -> int:
     return value
 
 
-@dataclass
 class Report:
     """One subcommand's output, renderable as table, json, or csv."""
 
-    command: str
-    params: dict
-    results: dict
-    csv_header: list
-    csv_rows: list
-    table_lines: list = field(default_factory=list)
-    discrepancies: list = field(default_factory=list)
+    __slots__ = ("command", "params", "results", "csv_header", "csv_rows", "table_lines", "discrepancies")
+
+    def __init__(self, command, params, results, csv_header, csv_rows, table_lines=(), discrepancies=()):
+        self.command, self.params, self.results = command, params, results
+        self.csv_header, self.csv_rows = csv_header, csv_rows
+        self.table_lines, self.discrepancies = list(table_lines), list(discrepancies)
+
+    def __eq__(self, other):
+        if type(other) is not Report:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def _render_json(report: Report) -> str:
@@ -163,6 +172,8 @@ def _params_dict(params: Params) -> dict:
 def _discrepancies_for(params: Params) -> list:
     if (params.a, params.b, params.d0) != (Fraction(1), Fraction(9), Fraction(1)):
         return []
+    from . import nsmodel
+
     return [
         {
             "n": row.n,
@@ -225,9 +236,11 @@ def _bound_twins(params: Params, k_max: int, l_max: int):
 
     Each row k squares the powers P^(2^(k-1)) and R^(2^(k-1)) of the row before, which is then dropped.
     """
+    from .bounds import q_factor
+
     b, head = params.b, _orbit_head(params, l_max)
     orbit = list(islice(_orbit_twins(params), k_max + l_max + 1))
-    bq = {l: b * bounds_mod.q_factor(params, head, l) for l in range(1, l_max + 1)}
+    bq = {l: b * q_factor(params, head, l) for l in range(1, l_max + 1)}
     powers = {l: (twin_of(b * head[l]), twin_of(head[l] * bq[l])) for l in bq}
     for k in range(1, k_max + 1):
         powers = {l: (_square(p), _square(r)) for l, (p, r) in powers.items()}
@@ -238,9 +251,11 @@ def _bound_twins(params: Params, k_max: int, l_max: int):
 
 def _profile_twins(params: Params, k: int, l_min: int, l_max: int):
     """Twins of (ratio - 1, Q(l)^(2^k - 1) - 1) of each profile row, l = l_min..l_max."""
+    from .bounds import q_factor
+
     b, head = params.b, _orbit_head(params, l_max)
     for l, act in zip(range(l_min, l_max + 1), islice(_orbit_twins(params), k + l_min, None)):
-        q = twin_of(bounds_mod.q_factor(params, head, l))
+        q = twin_of(q_factor(params, head, l))
         p, qk = twin_of(b * head[l]), q
         for _ in range(k):
             p, qk = _square(p), _square(qk)
@@ -281,6 +296,8 @@ def _cmd_eval(args) -> Report:
 
 
 def _cmd_bounds(args) -> Report:
+    from . import bounds as bounds_mod
+
     params = _params_from_args(args)
     certs = bounds_mod.certify(params, args.kmax, args.lmax, cap=args.cap)
     cert_rows = [
@@ -313,6 +330,8 @@ def _cmd_bounds(args) -> Report:
 
 
 def _cmd_converge(args) -> Report:
+    from . import bounds as bounds_mod
+
     params = _params_from_args(args)
     if args.lmin > args.lmax:
         raise _UsageError("converge: --lmin must not exceed --lmax")
@@ -331,6 +350,8 @@ def _cmd_converge(args) -> Report:
 
 
 def _cmd_growth(args) -> Report:
+    from . import growth as growth_mod
+
     params = _params_from_args(args)
     enc = growth_mod.growth_enclosure(params, args.l, args.rtol, cap=args.cap, max_digits=args.max_digits)
     results = {
@@ -361,6 +382,8 @@ def _cmd_growth(args) -> Report:
 
 
 def _cmd_benchmark(args) -> Report:
+    from . import growth as growth_mod
+
     params = _params_from_args(args)
     rows = growth_mod.compare_to_benchmark(params, args.n, cap=args.cap)
     row_dicts = [
@@ -394,7 +417,9 @@ def _load_json_file(path: str) -> dict:
     return doc
 
 
-def _family_from_doc(doc: dict) -> tuple[general_mod.PowerNonlinearity, Fraction]:
+def _family_from_doc(doc: dict) -> tuple:
+    from . import general as general_mod
+
     try:
         alpha = doc["alpha"]
         beta = doc["beta"]
@@ -422,6 +447,8 @@ def _coeff_json(coeffs):
 
 
 def _cmd_general(args) -> Report:
+    from . import general as general_mod
+
     pn, d0 = _family_from_doc(_load_json_file(args.file))
     if d0 < 1:
         raise ValueError(f"seed must be >= 1, got {frac_str(d0)}")
@@ -472,7 +499,9 @@ def _cmd_general(args) -> Report:
     )
 
 
-def _matrix_from_doc(doc: dict) -> matrixrec.MatrixParams:
+def _matrix_from_doc(doc: dict):
+    from . import matrixrec
+
     try:
         return matrixrec.MatrixParams(
             a=[[parse_rational(x) for x in row] for row in doc["a"]],
@@ -483,11 +512,13 @@ def _matrix_from_doc(doc: dict) -> matrixrec.MatrixParams:
         raise _UsageError(f"bad matrix document: {exc}")
 
 
-def _matrix_strings(mat: matrixrec.Matrix) -> list:
+def _matrix_strings(mat: tuple) -> list:
     return [[frac_str(x) for x in row] for row in mat]
 
 
 def _cmd_matrix(args) -> Report:
+    from . import matrixrec
+
     mp = _matrix_from_doc(_load_json_file(args.file))
     seq = matrixrec.evaluate_matrix(mp, args.n, cap=args.cap)
     envelope = matrixrec.scalar_envelope(mp, args.n, cap=args.cap)
@@ -525,6 +556,8 @@ def _cmd_matrix(args) -> Report:
 
 
 def _cmd_ns(args) -> Report:
+    from . import nsmodel
+
     model = nsmodel.NsModel(d=args.d, iterations=args.n, bytes_per_term=args.bytes_per_term)
     projection = nsmodel.cost_projection(model, budget=args.budget, cap=args.cap)
     rows = [
@@ -590,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", parents=[ab_parent, fmt_parent], help="certified growth-constant enclosure")
     p.add_argument("--l", type=_pos_int, required=True, help="witness index")
     p.add_argument("--rtol", type=_rational, default=Fraction(1, 10**12), help="relative tolerance, e.g. 1e-12")
-    p.add_argument("--max-digits", type=_pos_int, default=growth_mod.DEFAULT_MAX_DIGITS)
+    p.add_argument("--max-digits", type=_pos_int, default=DEFAULT_MAX_DIGITS)
     p.add_argument("--loglog-n", type=_pos_int, default=None, help="also report log2(ln(b*D(n)))/n here")
 
     p = sub.add_parser("benchmark", parents=[ab_parent, fmt_parent], help="compare against 2^(2^(n-1))")
@@ -599,10 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("general", parents=[fmt_parent], help="power-nonlinearity envelope from a JSON document")
     p.add_argument("--file", required=True, help="nonlinearity document (c1, c2, delta, power, alpha, beta, d0)")
     p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--digits", type=_pos_int, default=general_mod.DEFAULT_ROOT_DIGITS)
+    p.add_argument("--digits", type=_pos_int, default=DEFAULT_ROOT_DIGITS)
 
     p = sub.add_parser(
-        "matrix", parents=[_fmt_parent(matrixrec.MATRIX_DEFAULT_CAP)], help="matrix recursion from a JSON document"
+        "matrix", parents=[_fmt_parent(MATRIX_DEFAULT_CAP)], help="matrix recursion from a JSON document"
     )
     p.add_argument("--file", required=True, help="matrix document (a, b, d0 as row-major rational strings)")
     p.add_argument("--n", type=_nonneg_int, required=True)

@@ -21,15 +21,13 @@ without forming z^u, under the one digit budget of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
-from .recurrence import ValidationReport, as_fraction
+from .recurrence import DEFAULT_ROOT_DIGITS, ValidationReport, as_fraction
 from .roots import pow_lower, pow_upper
 from .serialize import frac_str
-
-DEFAULT_ROOT_DIGITS = 40
 
 
 def _coeff(coeffs, n: int) -> Fraction:
@@ -40,53 +38,40 @@ def _coeff(coeffs, n: int) -> Fraction:
     return coeffs
 
 
-@dataclass(frozen=True)
-class PowerFamily:
+class PowerFamily(namedtuple("PowerFamily", "power alpha beta")):
     """Step map F(n, z) = alpha(n) * z^power + beta(n).
 
     ``alpha``/``beta`` are either a single Fraction (constant coefficients)
     or a tuple indexed by n.
     """
 
-    power: int
-    alpha: Union[Fraction, tuple[Fraction, ...]]
-    beta: Union[Fraction, tuple[Fraction, ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.power < 1:
-            raise ValueError(f"power must be >= 1, got {self.power}")
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if isinstance(v, (list, tuple)):
-                object.__setattr__(self, name, tuple(as_fraction(c) for c in v))
-            else:
-                object.__setattr__(self, name, as_fraction(v))
+    def __new__(cls, power: int, alpha, beta):
+        if power < 1:
+            raise ValueError(f"power must be >= 1, got {power}")
+        coeffs = (tuple(map(as_fraction, c)) if isinstance(c, (list, tuple)) else as_fraction(c) for c in (alpha, beta))
+        return super().__new__(cls, power, *coeffs)
 
     def apply(self, n: int, z: Fraction) -> Fraction:
         return _coeff(self.alpha, n) * z ** self.power + _coeff(self.beta, n)
 
 
-@dataclass(frozen=True)
-class PowerNonlinearity:
+class PowerNonlinearity(namedtuple("PowerNonlinearity", "c1 c2 delta family")):
     """A family together with its claimed sandwich constants (C1, C2, delta)."""
 
-    c1: Fraction
-    c2: Fraction
-    delta: Fraction
-    family: PowerFamily
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", as_fraction(self.c1))
-        object.__setattr__(self, "c2", as_fraction(self.c2))
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        if not 0 < self.c1 <= self.c2:
-            raise ValueError(f"need 0 < C1 <= C2, got C1={frac_str(self.c1)}, C2={frac_str(self.c2)}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {frac_str(self.delta)}")
+    def __new__(cls, c1, c2, delta, family: PowerFamily):
+        c1, c2, delta = as_fraction(c1), as_fraction(c2), as_fraction(delta)
+        if not 0 < c1 <= c2:
+            raise ValueError(f"need 0 < C1 <= C2, got C1={frac_str(c1)}, C2={frac_str(c2)}")
+        if delta <= 0:
+            raise ValueError(f"delta must be positive, got {frac_str(delta)}")
+        return super().__new__(cls, c1, c2, delta, family)
 
 
-@dataclass(frozen=True)
-class EnvelopePair:
+class EnvelopePair(namedtuple("EnvelopePair", "lower upper exact")):
     """Pointwise bracket sequences around an orbit.
 
     ``exact`` is True when the exponent 1 + delta is an integer, so both
@@ -94,9 +79,7 @@ class EnvelopePair:
     and upper values up on the 10^-digits grid, preserving the bracket.
     """
 
-    lower: tuple[Fraction, ...]
-    upper: tuple[Fraction, ...]
-    exact: bool
+    __slots__ = ()
 
 
 def verify_sandwich(pn: PowerNonlinearity, z_samples, n_range) -> ValidationReport:

@@ -15,13 +15,13 @@ C^(2^n), i.e. log2(ln(b*D(n)))/n -> 1, which :func:`log_log_index` tracks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapExceededError, CertificateError, ToleranceUnachievableError
-from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate
+from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, Params, SequenceTable, evaluate
 from .bounds import q_factor
-from .roots import DEFAULT_MAX_DIGITS, digit_budget, digits_for, nth_root_lower, nth_root_upper, pow_cmp
+from .roots import digit_budget, digits_for, nth_root_lower, nth_root_upper, pow_cmp
 from .serialize import frac_str
 
 #: Finest relative tolerance the enclosure contract accepts.
@@ -34,18 +34,14 @@ def _as_tolerance(rtol) -> Fraction:
     return Fraction(rtol)
 
 
-@dataclass(frozen=True)
-class GrowthEnclosure:
+class GrowthEnclosure(namedtuple("GrowthEnclosure", "l c_lo c_hi digits")):
     """Certified decimal interval [c_lo, c_hi] containing the growth constant.
 
     Endpoints live on the 10^-digits grid and satisfy, exactly,
     c_lo^(2^l) <= b*D(l) and c_hi^(2^l) >= b*D(l)*Q(l).
     """
 
-    l: int
-    c_lo: Fraction
-    c_hi: Fraction
-    digits: int
+    __slots__ = ()
 
     @property
     def width(self) -> Fraction:
@@ -172,12 +168,8 @@ def doubling_benchmark(n: int, cap: int = DEFAULT_CAP) -> int:
     return 2 ** (2 ** (n - 1))
 
 
-@dataclass(frozen=True)
-class BenchmarkRow:
-    n: int
-    value: Fraction
-    benchmark: int
-    dominates: bool
+class BenchmarkRow(namedtuple("BenchmarkRow", "n value benchmark dominates")):
+    __slots__ = ()
 
 
 def compare_to_benchmark(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> list[BenchmarkRow]:

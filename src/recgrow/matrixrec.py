@@ -9,16 +9,13 @@ At m = 1 everything collapses to the scalar recursion bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapExceededError
-from .recurrence import Params, SequenceTable, as_fraction
+from .recurrence import MATRIX_DEFAULT_CAP, Params, SequenceTable, as_fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-#: Matrix-specific cap: every entry grows like the scalar terms, times m^2 of them.
-MATRIX_DEFAULT_CAP = 16
 
 
 def as_matrix(rows) -> Matrix:
@@ -51,25 +48,20 @@ def entrywise_leq(x: Matrix, y: Matrix) -> bool:
     return all(a <= b for rx, ry in zip(x, y) for a, b in zip(rx, ry))
 
 
-@dataclass(frozen=True)
-class MatrixParams:
+class MatrixParams(namedtuple("MatrixParams", "a b d0")):
     """Nonnegative coefficient matrices A, B and seed D0, all m x m."""
 
-    a: Matrix
-    b: Matrix
-    d0: Matrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_matrix(self.a))
-        object.__setattr__(self, "b", as_matrix(self.b))
-        object.__setattr__(self, "d0", as_matrix(self.d0))
-        dims = {len(self.a), len(self.b), len(self.d0)}
+    def __new__(cls, a, b, d0):
+        mats = {"a": as_matrix(a), "b": as_matrix(b), "d0": as_matrix(d0)}
+        dims = {len(mat) for mat in mats.values()}
         if len(dims) != 1:
             raise ValueError(f"inconsistent dimensions {sorted(dims)}")
-        for name in ("a", "b", "d0"):
-            mat = getattr(self, name)
+        for name, mat in mats.items():
             if any(x < 0 for row in mat for x in row):
                 raise ValueError(f"matrix {name} has a negative entry")
+        return super().__new__(cls, **mats)
 
     @property
     def dim(self) -> int:

@@ -12,7 +12,7 @@ credit is taken for symmetry cancellations inside the tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -46,36 +46,27 @@ def summand_budget(d: int, n: int, cap: int = DEFAULT_CAP) -> int:
     return d * d * term_count(d, n, cap=cap) ** 2
 
 
-@dataclass(frozen=True)
-class NsModel:
+class NsModel(namedtuple("NsModel", "d iterations bytes_per_term")):
     """Inputs for a cost projection: dimension, iteration depth, bytes/term."""
 
-    d: int
-    iterations: int
-    bytes_per_term: int = 16
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension d must be >= 1, got {self.d}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.bytes_per_term < 1:
-            raise ValueError(f"bytes_per_term must be >= 1, got {self.bytes_per_term}")
-
-
-@dataclass(frozen=True)
-class CostRow:
-    n: int
-    terms: int
-    projected_bytes: int
+    def __new__(cls, d: int, iterations: int, bytes_per_term: int = 16):
+        if d < 1:
+            raise ValueError(f"dimension d must be >= 1, got {d}")
+        if iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {iterations}")
+        if bytes_per_term < 1:
+            raise ValueError(f"bytes_per_term must be >= 1, got {bytes_per_term}")
+        return super().__new__(cls, d, iterations, bytes_per_term)
 
 
-@dataclass(frozen=True)
-class CostProjection:
-    model: NsModel
-    rows: tuple[CostRow, ...]
-    budget: Optional[int]
-    first_over_budget: Optional[int]
+class CostRow(namedtuple("CostRow", "n terms projected_bytes")):
+    __slots__ = ()
+
+
+class CostProjection(namedtuple("CostProjection", "model rows budget first_over_budget")):
+    __slots__ = ()
 
 
 def cost_projection(model: NsModel, budget: Optional[int] = None, cap: int = DEFAULT_CAP) -> CostProjection:
@@ -105,16 +96,11 @@ PUBLISHED_3D_EXACT = (1, 10, 901, 811802, 659022487205, 434310638641864388712026
 PUBLISHED_3D_APPROX = {6: "1.886257308e47", 7: "3.5579666e94"}
 
 
-@dataclass(frozen=True)
-class DiscrepancyRow:
+class DiscrepancyRow(namedtuple("DiscrepancyRow", "n published published_exact recomputed matches")):
     """One published-vs-recomputed comparison; ``matches`` is None when the
     published figure is only approximate."""
 
-    n: int
-    published: str
-    published_exact: bool
-    recomputed: int
-    matches: Optional[bool]
+    __slots__ = ()
 
 
 def published_3d_discrepancies(cap: int = DEFAULT_CAP) -> tuple[DiscrepancyRow, ...]:

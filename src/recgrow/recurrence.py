@@ -8,17 +8,27 @@ appears nowhere: the bound certificates downstream are exact inequalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
-from .errors import CapExceededError, InvalidParamsError
+from .errors import CapExceededError, CertificateError, InvalidParamsError
 
 RationalLike = Union[Fraction, int, str]
 
 #: Default cap on the largest computable index.  The bit size of D(n) grows
 #: like 2^n, so D(30) for a = b = 1 already has ~6e8 bits.
 DEFAULT_CAP = 30
+
+#: Matrix-specific cap: every entry grows like the scalar terms, times m^2 of them.
+MATRIX_DEFAULT_CAP = 16
+
+#: Budget, in decimal digits, on what one pass of a root certification builds
+#: when no :func:`~recgrow.roots.digit_budget` block sets another; the ``--max-digits`` default.
+DEFAULT_MAX_DIGITS = 2_000_000
+
+#: Grid digits of the rational powers in :func:`~recgrow.general.envelope`; the ``general --digits`` default.
+DEFAULT_ROOT_DIGITS = 40
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -28,8 +38,7 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(namedtuple("Params", "a b d0")):
     """Coefficients (a, b) and seed d0 of the recursion, as exact rationals.
 
     Construction only coerces types; use :func:`validate_params` (or
@@ -37,42 +46,54 @@ class Params:
     b > 0, 4ab >= 1, d0 > 0.
     """
 
-    a: Fraction
-    b: Fraction
-    d0: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        object.__setattr__(self, "d0", as_fraction(self.d0))
+    def __new__(cls, a: RationalLike, b: RationalLike, d0: RationalLike = 1):
+        return super().__new__(cls, as_fraction(a), as_fraction(b), as_fraction(d0))
 
     def is_integer(self) -> bool:
         """True when a, b and d0 are all integers (the whole orbit is then integral)."""
         return self.a.denominator == self.b.denominator == self.d0.denominator == 1
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a parameter check: ok, or a list of named violations."""
+class ValidationReport(namedtuple("ValidationReport", "ok violations")):
+    """Outcome of a parameter check: ok, or a tuple of named violations."""
 
-    ok: bool
-    violations: tuple[tuple[str, Fraction], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.ok == (not self.violations)
+    def __new__(cls, ok: bool, violations: tuple[tuple[str, Fraction], ...] = ()):
+        if ok != (not violations):
+            raise CertificateError(f"a report with ok={ok} contradicts its {len(violations)} violation(s)")
+        return super().__new__(cls, ok, violations)
 
 
-@dataclass(frozen=True)
 class SequenceTable:
     """Exact values D(0..N) for one parameter set.
 
     A plain container: tables produced by :func:`evaluate` satisfy the
     recursion exactly, but nothing stops tests from hand-building broken
-    tables to exercise the checkers.
+    tables to exercise the checkers.  Its fields cannot be reassigned.
     """
 
-    params: Params
-    values: tuple[Fraction, ...]
+    __slots__ = ("params", "values")
+
+    def __init__(self, params: Params, values: tuple[Fraction, ...]):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not SequenceTable:
+            return NotImplemented
+        return (self.params, self.values) == (other.params, other.values)
+
+    def __hash__(self):
+        return hash((self.params, self.values))
+
+    def __repr__(self):
+        return f"SequenceTable(params={self.params!r}, values={self.values!r})"
 
     @property
     def n_max(self) -> int:

@@ -24,15 +24,12 @@ from contextvars import ContextVar
 from fractions import Fraction
 
 from .errors import ToleranceUnachievableError
+from .recurrence import DEFAULT_MAX_DIGITS
 
 #: Bits kept beyond the operands' own size by the candidate and the brackets.
 _GUARD_BITS = 64
 #: Bits of the odd-order Newton seed, found by bisection.
 _SEED_BITS = 64
-
-#: Budget, in decimal digits, on what one pass of a root certification builds
-#: when no :func:`digit_budget` block sets another; the ``--max-digits`` default.
-DEFAULT_MAX_DIGITS = 2_000_000
 
 #: Decimal digits that one pass of square roots, squarings or products may build.
 #: A context variable, so the budget reaches pow_cmp through the three-argument

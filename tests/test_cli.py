@@ -5,6 +5,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import recgrow.growth as growth_mod
 from recgrow import DEFAULT_CAP, MATRIX_DEFAULT_CAP, Params, evaluate, q_factor, term_count
 from recgrow.cli import build_parser, run
@@ -347,3 +349,38 @@ def test_growth_l12_fits_the_default_budget(capsys):
 def test_growth_l12_tiny_budget_exits_3(capsys):
     assert run(["growth", "--a", "1", "--b", "1", "--l", "12", "--max-digits", "1000"]) == 3
     assert "over the 1000-digit budget" in capsys.readouterr().err
+
+
+# sha256 of `recgrow --help` and of each `recgrow <subcommand> --help` at 80 columns,
+# recorded before the subcommand modules were imported lazily
+HELP_GOLDENS = {
+    "": "9f5da54343225dda119fa7f64cfe30abedba7d35126ebd3b78273fb8252983a9",
+    "eval": "ba77b522027832a654326f25345e5bb977cef7904ecf3bd5a520fffc21c431b0",
+    "bounds": "0a37b3b82c62200d7cfcccff99c16b926f031ee22638ba24c7932bd53f53a601",
+    "converge": "a7f1f9dd198687bef7cefee0ab0253d4d40515a4669595f1e33e07dbffd9e084",
+    "growth": "9ce49ef5d2a07e0c0682d7d46f85acd3128143d2fb844f109bf250cdf10f917f",
+    "benchmark": "55d4141e80047500af43689a25ff034e9520a6e169d68befaacb70f4d5e5dd94",
+    "general": "4494ef01e562e9635bed38489bc30e31122e0aa711a284775ecc0f85492e0f41",
+    "matrix": "23a7d47d4d2d9732847101ccaf157edd96686ccdea864bd7c0df61fd4911b764",
+    "ns": "00ace7519c4b6247c41276bdab164b6e6d4eb0ee461cadf9c80592ee7a1f5464",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help differently in other versions")
+def test_help_bytes_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_GOLDENS.items():
+        assert run([*command.split(), "--help"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, command
+
+
+def test_parser_defaults_are_the_library_defaults():
+    from recgrow.general import DEFAULT_ROOT_DIGITS
+    from recgrow.matrixrec import MATRIX_DEFAULT_CAP
+    from recgrow.roots import DEFAULT_MAX_DIGITS
+
+    parser = build_parser()
+    assert parser.parse_args("growth --a 1 --b 1 --l 1".split()).max_digits == DEFAULT_MAX_DIGITS
+    assert parser.parse_args("general --file x --n 1".split()).digits == DEFAULT_ROOT_DIGITS
+    assert parser.parse_args("matrix --file x --n 1".split()).cap == MATRIX_DEFAULT_CAP
+    assert parser.parse_args("eval --a 1 --b 1 --n 1".split()).cap == DEFAULT_CAP
