@@ -14,7 +14,6 @@ not in the input).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -115,6 +114,8 @@ def _render_json(report: Report) -> str:
 
 
 def _render_csv(report: Report) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(report.csv_header)
