@@ -22,7 +22,10 @@ _IMPORT = "import sys, {module}; print(0, *sorted(sys.modules))"
 SUBCOMMAND_MODULES = {f"recgrow.{name}" for name in ("bounds", "growth", "general", "matrixrec", "nsmodel", "roots")}
 
 CASES = {
-    "import recgrow": (_IMPORT.format(module="recgrow"), {"dataclasses", "recgrow.cli"} | SUBCOMMAND_MODULES),
+    "import recgrow": (
+        _IMPORT.format(module="recgrow"),
+        {"dataclasses", "recgrow.cli", "recgrow.errors", "recgrow.recurrence", "recgrow.serialize"} | SUBCOMMAND_MODULES,
+    ),
     "import recgrow.cli": (_IMPORT.format(module="recgrow.cli"), {"dataclasses", "inspect"} | SUBCOMMAND_MODULES),
     "eval": (
         _RUN_MAIN.format(argv=["eval", "--a", "1", "--b", "1", "--n", "4", "--format", "json"]),
