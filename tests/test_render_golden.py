@@ -5,7 +5,8 @@ Each entry is the sha256 of `recgrow <command>` stdout in `--format json`,
 from its int.  The cases cover integer orbits, the published-value
 discrepancy rows of `(1, 9, 1)`, rational orbits whose lowest-terms step
 divides out a factor (72 then 8 for `(9/4, 1/9, 3/2)`, 5 then 35 for
-`(3/7, 5/3, 11/5)`), the fixed-point orbit `(1/4, 1, 1/2)`, the doubling
+`(3/7, 5/3, 11/5)`), the fixed-point orbit `(1/4, 1, 1/2)`, an orbit whose
+denominators are multiples of the residue check's prime 2^61 - 1, the doubling
 benchmark and a rational convergence profile.  `test_bounds_golden.py` covers
 `bounds` and the integer `converge`.
 """
@@ -48,6 +49,11 @@ GOLDENS = {
         "720aec680794d50cf0578d997c42239c7935534b2dc32b091439f95f5be96dd7",
         "c92f07741daefb33bad64f4a71b199d49c7c52d53d38584baa45e51d312270d7",
         "ea8aae6c42dc5bf4111f9da243b94c24dfef90f440f5ea33a252d3f3caa58915",
+    ),
+    "eval --a 2305843009213693951 --b 1/2305843009213693951 --n 4": (
+        "b9f9e3a4405e14a755759c2bd26e20989aa61eaf3c3867ae83c2f36f6e4eb2ce",
+        "fbabfb532816cc79e2acc75eaacc2e2653e3f323089eca54d2c7ce61aa223216",
+        "484692e1edb457bbf9da00d9eff5048a7ca09243ac259348062760f7175a7680",
     ),
     "benchmark --a 1 --b 1 --n 14": (
         "a93edd99eee20af49aa64ce00239434340b8ec85bf81bbb5e5de47c2e9464f2f",

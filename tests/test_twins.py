@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,10 @@ from hypothesis import strategies as st
 import recgrow.cli as cli
 from recgrow import Params, certify, compare_to_benchmark, convergence_profile, evaluate
 from recgrow.serialize import EXACT, frac_str
+
+# perfbench's oracle shares no code with recgrow: a plain Fraction loop and cross-multiplied comparisons
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import oracle  # noqa: E402
 
 F = Fraction
 
@@ -64,6 +69,19 @@ def test_twin_rendering_matches_int_rendering(abd, n, k, l):
         printed = _results(["benchmark", "--n", str(n), *ab])["rows"]
         rows = compare_to_benchmark(params, n)
         assert [[r["value"], r["benchmark"]] for r in printed] == [[frac_str(r.value), frac_str(r.benchmark)] for r in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_params(), st.integers(0, 10), st.integers(1, 4), st.integers(1, 4))
+@example((F(1, 4), F(1), F(1, 4)), 6, 3, 3)  # 4ab = 1 below the fixed point: parts of equal length
+def test_reports_pass_the_independent_oracle(abd, n, k, l):
+    ab = ["--a", frac_str(abd[0]), "--b", frac_str(abd[1]), "--d0", frac_str(abd[2])]
+    for argv in (["eval", "--n", str(n)], ["bounds", "--kmax", str(k), "--lmax", str(l)], ["converge", "--k", str(k), "--lmax", str(l)]):
+        argv += ab + ["--format", "json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(argv) == 0
+        assert oracle.check(argv, out.getvalue().encode()) == []
 
 
 # (command, part of each twin put one unit off: 0 numerator, 1 denominator)
