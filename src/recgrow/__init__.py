@@ -13,9 +13,9 @@ _EXPORTS = {
     "errors": "CapExceededError CertificateError InvalidParamsError NonIntegerParamsError RecgrowError "
     "ToleranceUnachievableError",
     "recurrence": "DEFAULT_CAP MATRIX_DEFAULT_CAP Params SequenceTable ValidationReport evaluate is_monotone "
-    "validate_params",
+    "q_factor validate_params",
     "bounds": "BoundCertificate ConvergenceProfile certify convergence_profile integer_envelope lower_bound "
-    "q_factor ratio upper_bound",
+    "ratio upper_bound",
     "growth": "BenchmarkRow GrowthEnclosure compare_to_benchmark doubling_benchmark growth_enclosure log_log_index",
     "general": "EnvelopePair PowerFamily PowerNonlinearity closed_form_lower envelope iterate_family verify_sandwich",
     "matrixrec": "MatrixParams evaluate_matrix max_row_sum scalar_envelope",

@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CertificateError, NonIntegerParamsError
-from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate
+from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate, q_factor
 from .serialize import frac_str
 
 
@@ -41,12 +41,6 @@ def _cancel(x: int, y: int, w: int) -> tuple[int, int]:
         x, y = x // c, y // c
         c = math.gcd(math.gcd(x, c * c), y)
     return x, y
-
-
-def q_factor(params: Params, table: SequenceTable, l: int) -> Fraction:
-    """Slack factor Q(l) = 1 + a/(b*D(l)^2); strictly > 1 since a > 0."""
-    _check(table, 0, l, k_min=0)
-    return 1 + params.a / (params.b * table[l] ** 2)
 
 
 class BoundCertificate(namedtuple("BoundCertificate", "k l q_l lower upper actual ratio holds")):

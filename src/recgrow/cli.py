@@ -18,32 +18,14 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
 
-# the subcommand modules (bounds, growth, general, matrixrec, nsmodel) are imported
+# the subcommand modules (twins, growth, general, matrixrec, nsmodel) are imported
 # by the handlers that run them, so each invocation loads only what it uses
 from .errors import CapExceededError, CertificateError, InvalidParamsError, ToleranceUnachievableError
 from .recurrence import (
-    DEFAULT_CAP,
-    DEFAULT_MAX_DIGITS,
-    DEFAULT_ROOT_DIGITS,
-    MATRIX_DEFAULT_CAP,
-    Params,
-    SequenceTable,
-    evaluate,
-    is_monotone,
-    validate_params,
+    DEFAULT_CAP, DEFAULT_MAX_DIGITS, DEFAULT_ROOT_DIGITS, MATRIX_DEFAULT_CAP, Params, evaluate, validate_params
 )
-from .serialize import (
-    EXACT,
-    canonical_json_bytes,
-    decimal_str,
-    frac_str,
-    parse_rational,
-    to_decimal,
-    twin_of,
-    twin_reduce,
-)
+from .serialize import canonical_json_bytes, decimal_str, frac_str, parse_rational
 
 SCHEMA_VERSION = 1
 
@@ -188,107 +170,18 @@ def _discrepancies_for(params: Params) -> list:
 
 
 # ---------------------------------------------------------------------------
-# decimal twins: each printed big value is built a second time in the output
-# radix, by the same recurrence steps and squarings as its int, so frac_str
-# prints it in linear time (see recgrow.serialize)
-
-
-def _orbit_twins(params: Params):
-    """Twins of D(0), D(1), ... in lowest terms, one step of the recurrence at a time."""
-    (an, ad), (bn, bd) = params.a.as_integer_ratio(), params.b.as_integer_ratio()
-    # a + b*(p/q)^2 = (an*bd*q^2 + bn*ad*p^2) / (ad*bd*q^2), p and q coprime: a prime
-    # of both divides ad*bd if it misses q, and bn*ad if it divides q
-    u, v, w = map(to_decimal, (an * bd, bn * ad, ad * bd))
-    p, q = twin_of(params.d0)
-    while True:
-        yield p, q
-        q2 = EXACT.multiply(q, q)
-        num = EXACT.fma(u, q2, EXACT.multiply(v, EXACT.multiply(p, p)))
-        p, q = twin_reduce(num, EXACT.multiply(w, q2), ad * bd * bn)
-
-
-def _orbit_head(params: Params, n: int) -> SequenceTable:
-    """D(0..n) as ints, for the small bases b*D(l) and Q(l) of the bound twins."""
-    values = [params.d0]
-    for _ in range(n):
-        values.append(params.a + params.b * values[-1] ** 2)
-    return SequenceTable(params, tuple(values))
-
-
-def _square(t: tuple) -> tuple:
-    return tuple(EXACT.multiply(x, x) for x in t)
-
-
-def _over(t: tuple, f: Fraction) -> tuple:
-    """Twin of t / f for a small f > 0: a prime of both parts divides f's numerator or denominator."""
-    fn, fd = twin_of(f)
-    return twin_reduce(EXACT.multiply(t[0], fd), EXACT.multiply(t[1], fn), f.numerator * f.denominator)
-
-
-def _ratio_twin(b: Fraction, d: Fraction, act: tuple, lo: tuple) -> tuple:
-    """Twin of act / lo, reduced as bounds reduces D(k+l) / lower."""
-    xn, yn = twin_reduce(act[0], lo[0], b.numerator * d.numerator)
-    xd, yd = twin_reduce(act[1], lo[1], b.denominator * d.denominator)
-    return EXACT.multiply(xn, yd), EXACT.multiply(xd, yn)
-
-
-def _bound_twins(params: Params, k_max: int, l_max: int):
-    """Twins of (lower, upper, actual, ratio) of each certificate, in certify's order.
-
-    Each row k squares the powers P^(2^(k-1)) and R^(2^(k-1)) of the row before, which is then dropped.
-    """
-    from .bounds import q_factor
-
-    b, head = params.b, _orbit_head(params, l_max)
-    orbit = list(islice(_orbit_twins(params), k_max + l_max + 1))
-    bq = {l: b * q_factor(params, head, l) for l in range(1, l_max + 1)}
-    powers = {l: (twin_of(b * head[l]), twin_of(head[l] * bq[l])) for l in bq}
-    for k in range(1, k_max + 1):
-        powers = {l: (_square(p), _square(r)) for l, (p, r) in powers.items()}
-        for l, (p, r) in powers.items():
-            lo = _over(p, b)
-            yield lo, _over(r, bq[l]), orbit[k + l], _ratio_twin(b, head[l], orbit[k + l], lo)
-
-
-def _profile_twins(params: Params, k: int, l_min: int, l_max: int):
-    """Twins of (ratio - 1, Q(l)^(2^k - 1) - 1) of each profile row, l = l_min..l_max."""
-    from .bounds import q_factor
-
-    b, head = params.b, _orbit_head(params, l_max)
-    for l, act in zip(range(l_min, l_max + 1), islice(_orbit_twins(params), k + l_min, None)):
-        q = twin_of(q_factor(params, head, l))
-        p, qk = twin_of(b * head[l]), q
-        for _ in range(k):
-            p, qk = _square(p), _square(qk)
-        rn, rd = _ratio_twin(b, head[l], act, _over(p, b))
-        # Q(l) is reduced, so Q^(2^k) / Q divides part by part
-        gn, gd = (EXACT.divide_int(x, y) for x, y in zip(qk, q))
-        # x - 1 for a reduced x stays reduced
-        yield (EXACT.subtract(rn, rd), rd), (EXACT.subtract(gn, gd), gd)
-
-
-def _doubling_twins():
-    """Twins of the benchmark 2^(2^(n-1)), n = 0, 1, ..., with the n = 0 value 1."""
-    yield twin_of(1)
-    t, one = twin_of(2)
-    while True:
-        yield t, one
-        t = EXACT.multiply(t, t)
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_eval(args) -> Report:
+    from . import twins
+
     params = _params_from_args(args)
-    table = evaluate(params, args.n, cap=args.cap)
-    values = [frac_str(v, t) for v, t in zip(table.values, _orbit_twins(params))]
-    monotone = is_monotone(table)
+    values, monotone = twins.eval_values(params, args.n, args.cap)
     return Report(
         command="eval",
         params=_params_dict(params),
-        results={"n_max": table.n_max, "values": values, "monotone": monotone},
+        results={"n_max": args.n, "values": values, "monotone": monotone},
         csv_header=["n", "value"],
         csv_rows=[[n, v] for n, v in enumerate(values)],
         table_lines=[f"monotone = {monotone}"],
@@ -296,58 +189,31 @@ def _cmd_eval(args) -> Report:
     )
 
 
+def _rows_report(command: str, params: Params, fields: tuple, rows: list, key: str, results: dict, table_lines=()):
+    """A report with one row per line of the csv and one dict per row in results[key]."""
+    results[key] = [dict(zip(fields, r)) for r in rows]
+    return Report(command, _params_dict(params), results, list(fields), rows, table_lines)
+
+
 def _cmd_bounds(args) -> Report:
-    from . import bounds as bounds_mod
+    from . import twins
 
     params = _params_from_args(args)
-    certs = bounds_mod.certify(params, args.kmax, args.lmax, cap=args.cap)
-    cert_rows = [
-        {
-            "k": c.k,
-            "l": c.l,
-            "q_l": frac_str(c.q_l),
-            "lower": frac_str(c.lower, lo),
-            "upper": frac_str(c.upper, up),
-            "actual": frac_str(c.actual, act),
-            "ratio": frac_str(c.ratio, rat),
-            "holds": c.holds,
-        }
-        for c, (lo, up, act, rat) in zip(certs, _bound_twins(params, args.kmax, args.lmax))
-    ]
-    all_hold = all(c.holds for c in certs)
-    return Report(
-        command="bounds",
-        params=_params_dict(params),
-        results={
-            "k_max": args.kmax,
-            "l_max": args.lmax,
-            "all_hold": all_hold,
-            "certificates": cert_rows,
-        },
-        csv_header=["k", "l", "q_l", "lower", "upper", "actual", "ratio", "holds"],
-        csv_rows=[[r["k"], r["l"], r["q_l"], r["lower"], r["upper"], r["actual"], r["ratio"], r["holds"]] for r in cert_rows],
-        table_lines=[f"all_hold = {all_hold}"],
-    )
+    rows = [[k, l, frac_str(q), *rest] for k, l, q, *rest in twins.bound_rows(params, args.kmax, args.lmax, args.cap)]
+    all_hold = all(r[-1] for r in rows)
+    fields = ("k", "l", "q_l", "lower", "upper", "actual", "ratio", "holds")
+    results = {"k_max": args.kmax, "l_max": args.lmax, "all_hold": all_hold}
+    return _rows_report("bounds", params, fields, rows, "certificates", results, [f"all_hold = {all_hold}"])
 
 
 def _cmd_converge(args) -> Report:
-    from . import bounds as bounds_mod
+    from . import twins
 
     params = _params_from_args(args)
     if args.lmin > args.lmax:
         raise _UsageError("converge: --lmin must not exceed --lmax")
-    profile = bounds_mod.convergence_profile(params, args.k, range(args.lmin, args.lmax + 1), cap=args.cap)
-    rows = [
-        {"l": l, "ratio_minus_1": frac_str(r, rt), "gap": frac_str(g, gt)}
-        for (l, r, g), (rt, gt) in zip(profile.rows, _profile_twins(params, args.k, args.lmin, args.lmax))
-    ]
-    return Report(
-        command="converge",
-        params=_params_dict(params),
-        results={"k": profile.k, "rows": rows},
-        csv_header=["l", "ratio_minus_1", "gap"],
-        csv_rows=[[r["l"], r["ratio_minus_1"], r["gap"]] for r in rows],
-    )
+    rows = [list(r) for r in twins.profile_rows(params, args.k, args.lmin, args.lmax, args.cap)]
+    return _rows_report("converge", params, ("l", "ratio_minus_1", "gap"), rows, "rows", {"k": args.k})
 
 
 def _cmd_growth(args) -> Report:
@@ -383,28 +249,15 @@ def _cmd_growth(args) -> Report:
 
 
 def _cmd_benchmark(args) -> Report:
-    from . import growth as growth_mod
+    from . import twins
+    from .growth import check_benchmark_regime
 
     params = _params_from_args(args)
-    rows = growth_mod.compare_to_benchmark(params, args.n, cap=args.cap)
-    row_dicts = [
-        {
-            "n": r.n,
-            "value": frac_str(r.value, value),
-            "benchmark": frac_str(r.benchmark, mark),
-            "dominates": r.dominates,
-        }
-        for r, value, mark in zip(rows, _orbit_twins(params), _doubling_twins())
-    ]
-    all_dominate = all(r.dominates for r in rows)
-    return Report(
-        command="benchmark",
-        params=_params_dict(params),
-        results={"rows": row_dicts, "all_dominate": all_dominate},
-        csv_header=["n", "value", "benchmark", "dominates"],
-        csv_rows=[[r["n"], r["value"], r["benchmark"], r["dominates"]] for r in row_dicts],
-        table_lines=[f"all_dominate = {all_dominate}"],
-    )
+    check_benchmark_regime(params)
+    rows = [list(r) for r in twins.benchmark_rows(params, args.n, args.cap)]
+    all_dominate = all(r[-1] for r in rows)
+    fields, results = ("n", "value", "benchmark", "dominates"), {"all_dominate": all_dominate}
+    return _rows_report("benchmark", params, fields, rows, "rows", results, [f"all_dominate = {all_dominate}"])
 
 
 def _load_json_file(path: str) -> dict:

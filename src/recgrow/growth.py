@@ -19,8 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapExceededError, CertificateError, ToleranceUnachievableError
-from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, Params, SequenceTable, evaluate
-from .bounds import q_factor
+from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, Params, SequenceTable, evaluate, q_factor
 from .roots import digit_budget, digits_for, nth_root_lower, nth_root_upper, pow_cmp
 from .serialize import frac_str
 
@@ -172,23 +171,22 @@ class BenchmarkRow(namedtuple("BenchmarkRow", "n value benchmark dominates")):
     __slots__ = ()
 
 
-def compare_to_benchmark(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> list[BenchmarkRow]:
-    """Rows (n, D(n), 2^(2^(n-1)), D(n) >= benchmark) for n = 0..n_max.
-
-    Asserted regime: integer a >= 1, b >= 1 and seed >= 1, where domination
-    follows by induction from D(n+1) >= D(n)^2.
-    """
-    if (
-        params.a.denominator != 1
-        or params.b.denominator != 1
-        or params.a < 1
-        or params.b < 1
-        or params.d0 < 1
-    ):
+def check_benchmark_regime(params: Params) -> None:
+    """Raise ValueError outside the benchmark's regime: integer a >= 1, b >= 1 and seed
+    d0 >= 1, where domination follows by induction from D(n+1) >= D(n)^2."""
+    if params.a.denominator != 1 or params.b.denominator != 1 or min(params.a, params.b, params.d0) < 1:
         raise ValueError(
             f"benchmark comparison needs integer a, b >= 1 and d0 >= 1; "
             f"got ({frac_str(params.a)}, {frac_str(params.b)}, {frac_str(params.d0)})"
         )
+
+
+def compare_to_benchmark(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> list[BenchmarkRow]:
+    """Rows (n, D(n), 2^(2^(n-1)), D(n) >= benchmark) for n = 0..n_max.
+
+    Asserted regime: see :func:`check_benchmark_regime`.
+    """
+    check_benchmark_regime(params)
     table = evaluate(params, n_max, cap=cap)
     rows = []
     for n in range(n_max + 1):

@@ -123,6 +123,12 @@ def validate_params(a: RationalLike, b: RationalLike, d0: RationalLike = 1) -> V
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
+def check_cap(n_max: int, cap: int) -> None:
+    """Raise :class:`CapExceededError` when index n_max exceeds the cap."""
+    if n_max > cap:
+        raise CapExceededError(f"n_max={n_max} exceeds cap={cap}; term sizes grow like 2^n bits")
+
+
 def evaluate(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> SequenceTable:
     """Return the exact table D(0..n_max).
 
@@ -132,8 +138,7 @@ def evaluate(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> SequenceTabl
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    if n_max > cap:
-        raise CapExceededError(f"n_max={n_max} exceeds cap={cap}; term sizes grow like 2^n bits")
+    check_cap(n_max, cap)
     report = validate_params(params.a, params.b, params.d0)
     if not report.ok:
         raise InvalidParamsError(report)
@@ -149,3 +154,12 @@ def is_monotone(table: SequenceTable) -> bool:
     if not table.values:
         raise ValueError("empty table")
     return all(x <= y for x, y in zip(table.values, table.values[1:]))
+
+
+def q_factor(params: Params, table: SequenceTable, l: int) -> Fraction:
+    """Slack factor Q(l) = 1 + a/(b*D(l)^2) of the bilateral bounds; strictly > 1 since a > 0."""
+    if l < 1:
+        raise ValueError(f"need l >= 1, got l={l}")
+    if l > table.n_max:
+        raise IndexError(f"index {l} outside table range 0..{table.n_max}")
+    return 1 + params.a / (params.b * table[l] ** 2)

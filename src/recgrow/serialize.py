@@ -6,20 +6,15 @@ would silently lose digits.  parse(serialize(x)) == x exactly.
 
 CPython before 3.12 converts between ints and decimal text in quadratic time,
 and refuses ints longer than ``sys.get_int_max_str_digits()`` digits.  The
-values the CLI prints are therefore computed twice: as ints, which make every
-comparison and gcd, and as *decimal twins*, the same numerator and
-denominator built by the same recurrence steps and squarings in the C
-``decimal`` module, in one exact context (:data:`EXACT`).  Its multiplication
-is subquadratic and ``str(Decimal)`` takes linear time, so a chain that stays
-in the output radix costs O(M(n)) where radix conversion costs M(n) log n
-(Brent and Zimmermann, *Modern Computer Arithmetic*, 2010, section 1.7).
-:func:`frac_str` prints a twin only after checking it against its int modulo
-the prime 2^61 - 1, in linear time on both sides; a mismatch raises
-:class:`~recgrow.errors.CertificateError`.  A twin is never converted back to
-an int, since ``int(Decimal)`` is quadratic.
+big values of eval, bounds, converge and benchmark are therefore never ints:
+:mod:`recgrow.twins` builds each one once, as exact ``Decimal`` integers in
+:data:`EXACT`, whose multiplication is subquadratic and whose ``str()`` takes
+linear time, so a chain that stays in the output radix costs O(M(n)) where
+radix conversion costs M(n) log n (Brent and Zimmermann, *Modern Computer
+Arithmetic*, 2010, section 1.7).
 
-Values without a twin fall back to divide and conquer: :func:`to_decimal`
-splits an int by bit position and joins the halves in the same context.
+The ints printed here convert by divide and conquer: :func:`to_decimal`
+splits an int by bit position and joins the halves in :data:`EXACT`.
 Parsing splits each digit run and joins the halves with Karatsuba int
 multiplication (reducing the parsed fraction with ``math.gcd`` stays
 quadratic).  Only pieces far below the limit reach ``str()`` and ``int()``,
@@ -30,11 +25,8 @@ from __future__ import annotations
 
 import decimal
 import json
-import math
 import re
 from fractions import Fraction
-
-from .errors import CertificateError
 
 # pieces this small (about 1200 digits) are converted by str() and int()
 _LEAF_BITS = 4000
@@ -49,17 +41,13 @@ _RATIONAL = re.compile(
 )
 
 
-#: The context of every decimal twin: integer operands keep exponent 0, and a
-#: trap turns any rounding into an error
+#: The exact context of every big Decimal: integer operands keep exponent 0, and
+#: a trap turns any rounding into an error
 EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
     Emax=decimal.MAX_EMAX,
     traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow],
 )
-
-# twins are checked against their ints modulo this prime
-_CHECK_PRIME = 2**61 - 1
-_ONE = decimal.Decimal(1)
 
 
 def to_decimal(n: int) -> decimal.Decimal:
@@ -97,34 +85,6 @@ def _int_str(n: int) -> str:
     return str(n) if n.bit_length() <= _LEAF_BITS else str(to_decimal(n))
 
 
-def twin_of(x: Fraction | int) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """The decimal twin (numerator, denominator) of ``x``."""
-    return to_decimal(x.numerator), to_decimal(x.denominator)
-
-
-def twin_reduce(x: decimal.Decimal, y: decimal.Decimal, w: int) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """x/g and y/g for twins x and y != 0 with g = gcd(x, y), given that every prime
-    of g divides the small int ``w``: remainders modulo small ints find g."""
-
-    def common(m: int) -> int:
-        c = m if m == 1 else math.gcd(m, int(EXACT.remainder(x, to_decimal(m))))
-        return c if c == 1 else math.gcd(c, int(EXACT.remainder(y, to_decimal(c))))
-
-    c = common(w)
-    while c > 1:
-        x, y = EXACT.divide_int(x, to_decimal(c)), EXACT.divide_int(y, to_decimal(c))
-        c = common(c * c)
-    return x, y
-
-
-def _digits(n: int, t: decimal.Decimal | None) -> str:
-    if t is None:
-        return _int_str(n)
-    if not (t.same_quantum(_ONE) and int(EXACT.remainder(t, _CHECK_PRIME)) % _CHECK_PRIME == n % _CHECK_PRIME):
-        raise CertificateError(f"the decimal twin of a {n.bit_length()}-bit integer fails its check modulo 2^61 - 1")
-    return str(t)
-
-
 def _parse_digits(text: str, powers: dict) -> int:
     """Value of a string of ASCII digits, in subquadratic time for long ones."""
     if len(text) <= _LEAF_DIGITS:
@@ -135,15 +95,10 @@ def _parse_digits(text: str, powers: dict) -> int:
     return _parse_digits(text[:-k], powers) * powers[k] + _parse_digits(text[-k:], powers)
 
 
-def frac_str(x: Fraction | int, twin: tuple | None = None) -> str:
-    """Canonical exact rendering: "p" for integers, "p/q" otherwise.
-
-    ``twin`` is x's decimal twin (numerator, denominator); each part printed
-    is taken from it once it passes its residue check against x.
-    """
-    num, den = twin or (None, None)
-    p = _digits(x.numerator, num)
-    return p if x.denominator == 1 else f"{p}/{_digits(x.denominator, den)}"
+def frac_str(x: Fraction | int) -> str:
+    """Canonical exact rendering: "p" for integers, "p/q" otherwise."""
+    p = _int_str(x.numerator)
+    return p if x.denominator == 1 else f"{p}/{_int_str(x.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -24,9 +24,9 @@ F = Fraction
 HOMES = {
     "errors": "CapExceededError CertificateError InvalidParamsError NonIntegerParamsError RecgrowError "
     "ToleranceUnachievableError",
-    "recurrence": "DEFAULT_CAP Params SequenceTable ValidationReport evaluate is_monotone validate_params",
+    "recurrence": "DEFAULT_CAP Params SequenceTable ValidationReport evaluate is_monotone q_factor validate_params",
     "bounds": "BoundCertificate ConvergenceProfile certify convergence_profile integer_envelope lower_bound "
-    "q_factor ratio upper_bound",
+    "ratio upper_bound",
     "growth": "BenchmarkRow GrowthEnclosure compare_to_benchmark doubling_benchmark growth_enclosure log_log_index",
     "general": "EnvelopePair PowerFamily PowerNonlinearity closed_form_lower envelope iterate_family verify_sandwich",
     "matrixrec": "MATRIX_DEFAULT_CAP MatrixParams evaluate_matrix max_row_sum scalar_envelope",
@@ -40,6 +40,7 @@ def test_public_names_resolve_to_their_home_modules():
     for name, module in HOME.items():
         assert getattr(recgrow, name) is getattr(importlib.import_module(f"recgrow.{module}"), name), name
     assert recgrow.__version__ == "0.1.0"
+    assert recgrow.bounds.q_factor is recgrow.q_factor  # its home before it moved to recurrence
 
 
 def test_star_import_and_dir_cover_all():

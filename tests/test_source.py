@@ -81,4 +81,4 @@ def test_cli_imports_subcommand_modules_in_their_handlers():
     path = SOURCE / "cli.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _package_imports(_module_level(tree)) == CLI_MODULE_LEVEL_IMPORTS
-    assert _package_imports(ast.walk(tree)) >= {"bounds", "growth", "general", "matrixrec", "nsmodel"}
+    assert _package_imports(ast.walk(tree)) >= {"twins", "growth", "general", "matrixrec", "nsmodel"}

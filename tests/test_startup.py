@@ -19,7 +19,9 @@ print(code, *sorted(sys.modules))
 
 _IMPORT = "import sys, {module}; print(0, *sorted(sys.modules))"
 
-SUBCOMMAND_MODULES = {f"recgrow.{name}" for name in ("bounds", "growth", "general", "matrixrec", "nsmodel", "roots")}
+SUBCOMMAND_MODULES = {
+    f"recgrow.{name}" for name in ("bounds", "growth", "general", "matrixrec", "nsmodel", "roots", "twins")
+}
 
 CASES = {
     "import recgrow": (
@@ -33,11 +35,11 @@ CASES = {
     ),
     "growth": (
         _RUN_MAIN.format(argv=["growth", "--a", "1", "--b", "1", "--l", "4", "--format", "json"]),
-        {"recgrow.general", "recgrow.matrixrec", "recgrow.nsmodel"},
+        {"recgrow.bounds", "recgrow.general", "recgrow.matrixrec", "recgrow.nsmodel", "recgrow.twins"},
     ),
     "ns": (
         _RUN_MAIN.format(argv=["ns", "--d", "3", "--n", "4", "--format", "json"]),
-        {"recgrow.bounds", "recgrow.roots"},
+        {"recgrow.bounds", "recgrow.roots", "recgrow.twins"},
     ),
 }
 

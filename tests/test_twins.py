@@ -1,6 +1,6 @@
-"""Decimal twins: every value that eval, bounds, converge and benchmark print from
-a twin equals the int-only rendering of the same value, and a twin that disagrees
-with its int stops the CLI with exit code 4."""
+"""Decimal twins: every value that eval, bounds, converge and benchmark print equals
+the library's Fraction of the same value and passes perfbench's independent oracle,
+and a twin that fails its residue check stops the CLI with exit code 4."""
 
 import contextlib
 import io
@@ -15,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import recgrow.cli as cli
-from recgrow import Params, certify, compare_to_benchmark, convergence_profile, evaluate
-from recgrow.serialize import EXACT, frac_str
+import recgrow.twins as twins
+from recgrow import Params, certify, compare_to_benchmark, convergence_profile, evaluate, is_monotone
+from recgrow.serialize import frac_str
 
 # perfbench's oracle shares no code with recgrow: a plain Fraction loop and cross-multiplied comparisons
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -56,11 +57,12 @@ def _results(argv):
 def test_twin_rendering_matches_int_rendering(abd, n, k, l):
     params = Params(*abd)
     ab = ["--a", frac_str(params.a), "--b", frac_str(params.b), "--d0", frac_str(params.d0)]
-    values = _results(["eval", "--n", str(n), *ab])["values"]
-    assert values == [frac_str(v) for v in evaluate(params, n).values]
+    results, table = _results(["eval", "--n", str(n), *ab]), evaluate(params, n)
+    assert results["values"] == [frac_str(v) for v in table.values]
+    assert results["monotone"] is is_monotone(table)
     printed = _results(["bounds", "--kmax", str(k), "--lmax", str(l), *ab])["certificates"]
-    assert [[c[f] for f in _FIELDS] for c in printed] == [
-        [frac_str(getattr(c, f)) for f in _FIELDS] for c in certify(params, k, l)
+    assert [[c[f] for f in _FIELDS] + [c["holds"]] for c in printed] == [
+        [frac_str(getattr(c, f)) for f in _FIELDS] + [c.holds] for c in certify(params, k, l)
     ]
     printed = _results(["converge", "--k", str(k), "--lmax", str(l), *ab])["rows"]
     rows = convergence_profile(params, k, range(1, l + 1)).rows
@@ -68,7 +70,21 @@ def test_twin_rendering_matches_int_rendering(abd, n, k, l):
     if params.a.denominator == params.b.denominator == 1 and params.d0 >= 1:
         printed = _results(["benchmark", "--n", str(n), *ab])["rows"]
         rows = compare_to_benchmark(params, n)
-        assert [[r["value"], r["benchmark"]] for r in printed] == [[frac_str(r.value), frac_str(r.benchmark)] for r in rows]
+        assert [[r["value"], r["benchmark"], r["dominates"]] for r in printed] == [
+            [frac_str(r.value), frac_str(r.benchmark), r.dominates] for r in rows
+        ]
+
+
+_twin = st.builds(twins.twin_of, st.fractions(min_value=F(1, 10**30), max_value=10**30, max_denominator=10**30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_twin, _twin, st.integers(1, 9))
+def test_twin_comparison_matches_fraction_comparison(s, t, scale):
+    # values with equal, adjacent and distant digit counts, and pairs equal in value
+    x, y = (F(int(n), int(d)) for n, d in (s, t))
+    assert twins._le(s, t) is (x <= y)
+    assert twins._le(s, twins.twin_of(x * scale)) is True
 
 
 @settings(max_examples=40, deadline=None)
@@ -76,7 +92,8 @@ def test_twin_rendering_matches_int_rendering(abd, n, k, l):
 @example((F(1, 4), F(1), F(1, 4)), 6, 3, 3)  # 4ab = 1 below the fixed point: parts of equal length
 def test_reports_pass_the_independent_oracle(abd, n, k, l):
     ab = ["--a", frac_str(abd[0]), "--b", frac_str(abd[1]), "--d0", frac_str(abd[2])]
-    for argv in (["eval", "--n", str(n)], ["bounds", "--kmax", str(k), "--lmax", str(l)], ["converge", "--k", str(k), "--lmax", str(l)]):
+    runs = (["eval", "--n", str(n)], ["bounds", "--kmax", str(k), "--lmax", str(l)], ["converge", "--k", str(k), "--lmax", str(l)])
+    for argv in runs:
         argv += ab + ["--format", "json"]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -94,42 +111,47 @@ _CORRUPTED = [
     ("converge --a 3/7 --b 5/3 --d0 11/5 --k 3 --lmax 4", 1),
     ("benchmark --a 1 --b 1 --n 6", 0),
 ]
+# part 3: numerator and denominator both times 3, the same value but not in lowest terms
+_CORRUPTED += [(command, 3) for command, _ in _CORRUPTED]
+
+# replaces the check-and-print step of recgrow.twins with one that corrupts each twin first
+_CORRUPT = """
+import recgrow.twins as twins
+from recgrow.serialize import EXACT
 
 
-def _one_off(render, part):
-    def frac_str(x, twin=None):
-        if twin is not None:
-            twin = tuple(EXACT.add(t, 1) if i == part else t for i, t in enumerate(twin))
-        return render(x, twin)
+def corrupt(part):
+    text = twins._text
 
-    return frac_str
+    def _text(t, r, exact=True):
+        if part == 3:
+            t = tuple(EXACT.multiply(x, 3) for x in t)
+        else:
+            t = tuple(EXACT.add(x, 1) if i == part else x for i, x in enumerate(t))
+        return text(t, r, exact)
+
+    twins._text = _text
+"""
 
 
 @pytest.mark.parametrize("command, part", _CORRUPTED)
 def test_corrupted_twin_exits_4(command, part, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "frac_str", _one_off(cli.frac_str, part))
+    monkeypatch.setattr(twins, "_text", twins._text)  # restored after the test
+    namespace = {}
+    exec(_CORRUPT, namespace)
+    namespace["corrupt"](part)
     assert cli.run(command.split()) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("recgrow: certificate failure: ")
 
 
-_CORRUPT_UNDER_O = """
+_CORRUPT_UNDER_O = _CORRUPT + """
 import sys
 import recgrow.cli as cli
-from recgrow.serialize import EXACT
 
 assert not __debug__
-part, render = int(sys.argv[1]), cli.frac_str
-
-
-def frac_str(x, twin=None):
-    if twin is not None:
-        twin = tuple(EXACT.add(t, 1) if i == part else t for i, t in enumerate(twin))
-    return render(x, twin)
-
-
-cli.frac_str = frac_str
+corrupt(int(sys.argv[1]))
 sys.exit(cli.run(sys.argv[2:]))
 """
 
