@@ -1,15 +1,13 @@
 """The values that eval, bounds, converge and benchmark print, each built once as an exact decimal.
 
-A value is built only as its *decimal twin*, numerator and denominator as exact
-``Decimal`` integers in :data:`~recgrow.serialize.EXACT`, by the recurrence step
-``D(n+1) = a + b*D(n)^2`` or a squaring chain (``P^(2^k)``, ``R^(2^k)``,
-``Q(l)^(2^k)``, ``2^(2^(n-1))``), and every verdict is decided exactly from the
-twins.  Before a twin is printed it is checked against a recurrence of small ints
-modulo the prime ``P = 2^61 - 1``, part by part, so a value one unit off or not in
-lowest terms is refused; a lowest-terms factor ``c`` leaves a residue as
-``(x mod P*c) // c``, as no inverse of ``c`` exists when ``P`` divides it.  A ratio
-``D(k+l)/lower`` is reduced by :func:`twin_reduce` and checked as a value.  A failed
-check raises :class:`~recgrow.errors.CertificateError`.
+A value is built only as its *decimal twin*, numerator and denominator as exact ``Decimal``
+integers in :data:`~recgrow.serialize.EXACT`, by the step ``D(n+1) = a + b*D(n)^2`` or by
+squarings (``P^(2^k)``, ``R^(2^k)``, ``Q(l)^(2^k)``, ``2^(2^(n-1))``), and the verdicts are
+decided exactly from the twins.  Before it is printed, each part of a twin is checked against
+a recurrence of small ints modulo the prime ``P = 2^61 - 1``, so a value one unit off or not
+in lowest terms raises :class:`~recgrow.errors.CertificateError`.  A factor ``c`` leaves a
+residue as ``(x mod P*c) // c``, as no inverse of ``c`` exists when ``P`` divides it.  A ratio
+``D(k+l)/lower`` is reduced by :func:`twin_reduce` and checked as a value and for lowest terms.
 """
 
 from __future__ import annotations
@@ -54,14 +52,13 @@ def _times(x: Decimal, c) -> Decimal:
     return x if c == 1 else EXACT.multiply(x, c)
 
 
-def _text(t: tuple, r: tuple, exact: bool = True) -> str:
-    """"num" or "num/den" of the twin t, once it matches the residues r = (x, y): part by
-    part when ``exact``, else as the value x/y."""
+def _text(t: tuple, r: tuple, w: int = 0) -> str:
+    """"num" or "num/den" of the twin t, once it matches the residues r = (x, y): part by part,
+    or, given w, as the value x/y in parts that share no prime of w."""
     (num, den), (x, y) = t, r
-    if not (num.same_quantum(_ONE) and den.same_quantum(_ONE)):
-        raise CertificateError("a decimal twin is not an integer ratio")
-    rn, rd = (int(EXACT.remainder(v, P)) for v in t)
-    if not ((rn - x) % P == (rd - y) % P == 0 if exact else (rn * y - rd * x) % P == 0):
+    rn, rd = (int(EXACT.remainder(v, to_decimal(P * (w or 1)))) for v in t)
+    ok = (rn * y - rd * x) % P == 0 and math.gcd(w, rn, rd) == 1 if w else (rn - x) % P == (rd - y) % P == 0
+    if not (ok and num.same_quantum(_ONE) and den.same_quantum(_ONE)):
         raise CertificateError(f"a {num.adjusted() + 1}-digit decimal twin fails its check modulo 2^61 - 1")
     return str(num) if den == 1 else f"{num}/{den}"
 
@@ -118,11 +115,16 @@ def _power_over(t: tuple, f: Fraction, g: Fraction, k: int) -> tuple:
 
 
 def _ratio(b: Fraction, d: Fraction, act: tuple, lo: tuple) -> tuple:
-    """(twin, value residues) of act / lo, reduced as bounds reduces D(k+l) / lower."""
+    """(twin, value residues, w) of act / lo, reduced as bounds reduces D(k+l) / lower: a prime
+    shared by both parts before the reduction divides w."""
     ((an, ad), (x, y)), ((ln, ld), (s, t)) = act, lo
     xn, yn = twin_reduce(an, ln, b.numerator * d.numerator)
     xd, yd = twin_reduce(ad, ld, b.denominator * d.denominator)
-    return (_times(xn, yd), _times(xd, yn)), (x * t, y * s)
+    twin = _times(xn, yd), _times(xd, yn)
+    # the value check modulo P is void when P divides a residue (a denominator P of b, say): check exactly
+    if (x * t % P == 0 or y * s % P == 0) and _times(twin[0], _times(ad, ln)) != _times(twin[1], _times(an, ld)):
+        raise CertificateError("a ratio twin is not D(k+l)/lower")
+    return twin, (x * t, y * s), b.numerator * d.numerator * b.denominator * d.denominator
 
 
 def eval_values(params: Params, n: int, cap: int) -> tuple[list[str], bool]:
@@ -152,7 +154,7 @@ def bound_rows(params: Params, k_max: int, l_max: int, cap: int):
             rat = _ratio(b, head[l], act, lo)
             # lower <= actual is ratio >= 1, and the ratio is reduced
             holds = rat[0][0] >= rat[0][1] and _le(act[0], up[0])
-            yield k, l, q, _text(*lo), _text(*up), _text(*act), _text(*rat, exact=False), holds
+            yield k, l, q, _text(*lo), _text(*up), _text(*act), _text(*rat), holds
 
 
 def profile_rows(params: Params, k: int, l_min: int, l_max: int, cap: int):
@@ -164,12 +166,12 @@ def profile_rows(params: Params, k: int, l_min: int, l_max: int, cap: int):
         p, qk = twin_of(f), twin_of(q)
         for _ in range(k):
             p, qk = _square(p), _square(qk)
-        (rn, rd), (x, y) = _ratio(b, head[l], act, _power_over(p, f, b, k))
+        (rn, rd), (x, y), w = _ratio(b, head[l], act, _power_over(p, f, b, k))
         # Q(l) is reduced, so Q^(2^k) / Q divides part by part, and x - 1 of a reduced x stays reduced
         gn, gd = (EXACT.divide_int(s, t) for s, t in zip(qk, twin_of(q)))
         qn, qd = (pow(z, e - 1, P) for z in q.as_integer_ratio())
         gap = _text((EXACT.subtract(gn, gd), gd), (qn - qd, qd))
-        yield l, _text((EXACT.subtract(rn, rd), rd), (x - y, y), exact=False), gap
+        yield l, _text((EXACT.subtract(rn, rd), rd), (x - y, y), w), gap
 
 
 def benchmark_rows(params: Params, n: int, cap: int):

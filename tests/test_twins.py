@@ -4,6 +4,7 @@ and a twin that fails its residue check stops the CLI with exit code 4."""
 
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 import recgrow.cli as cli
 import recgrow.twins as twins
 from recgrow import Params, certify, compare_to_benchmark, convergence_profile, evaluate, is_monotone
-from recgrow.serialize import frac_str
+from recgrow.serialize import EXACT, frac_str
+from recgrow.twins import P
 
 # perfbench's oracle shares no code with recgrow: a plain Fraction loop and cross-multiplied comparisons
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -123,12 +125,12 @@ from recgrow.serialize import EXACT
 def corrupt(part):
     text = twins._text
 
-    def _text(t, r, exact=True):
+    def _text(t, r, w=0):
         if part == 3:
             t = tuple(EXACT.multiply(x, 3) for x in t)
         else:
             t = tuple(EXACT.add(x, 1) if i == part else x for i, x in enumerate(t))
-        return text(t, r, exact)
+        return text(t, r, w)
 
     twins._text = _text
 """
@@ -165,3 +167,41 @@ def test_corrupted_twin_exits_4_under_optimize_flag(command, part):
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("recgrow: certificate failure: ")
+
+
+_RATIO_FAULTS = [
+    # each ratio reduces its numerators, then its denominators; a numerator times the prime 1000003 is
+    # still in lowest terms but has the wrong value.  With b = 1/P the ratio's residues modulo P are 0,
+    # so its value is checked exactly
+    ("bounds --a 1 --b 1 --kmax 2 --lmax 2", "value"),
+    (f"bounds --a {P} --b 1/{P} --kmax 2 --lmax 2", "value"),
+    # the value is right but not in lowest terms
+    ("bounds --a 1 --b 1 --kmax 2 --lmax 2", "unreduced"),
+    ("bounds --a 1/2 --b 1/2 --d0 35/2 --kmax 2 --lmax 2", "unreduced"),
+]
+
+
+@pytest.mark.parametrize("command, fault", _RATIO_FAULTS)
+def test_ratio_from_a_faulty_reduction_exits_4(command, fault, capsys, monkeypatch):
+    reduce, calls = twins.twin_reduce, itertools.count()
+
+    def faulty(x, y, w):
+        if fault == "unreduced":
+            return x, y
+        x, y = reduce(x, y, w)
+        return (EXACT.multiply(x, 1000003), y) if next(calls) % 2 == 0 else (x, y)
+
+    monkeypatch.setattr(twins, "twin_reduce", faulty)
+    assert cli.run(command.split()) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("recgrow: certificate failure: ")
+
+
+def test_verdicts_come_from_the_twin_comparison(monkeypatch):
+    # valid parameters make every verdict true, so a comparison that says "greater" shows the wiring
+    monkeypatch.setattr(twins, "_le", lambda s, t: False)
+    assert _results("eval --a 1 --b 1 --n 3".split())["monotone"] is False
+    assert [c["holds"] for c in _results("bounds --a 1 --b 1 --kmax 1 --lmax 2".split())["certificates"]] == [False] * 2
+    rows = _results("benchmark --a 1 --b 1 --n 2".split())["rows"]
+    assert [r["dominates"] for r in rows] == [False] * 3
