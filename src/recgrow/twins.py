@@ -59,7 +59,7 @@ def _text(t: tuple, r: tuple, w: int = 0) -> str:
     rn, rd = (int(EXACT.remainder(v, to_decimal(P * (w or 1)))) for v in t)
     ok = (rn * y - rd * x) % P == 0 and math.gcd(w, rn, rd) == 1 if w else (rn - x) % P == (rd - y) % P == 0
     if not (ok and num.same_quantum(_ONE) and den.same_quantum(_ONE)):
-        raise CertificateError(f"a {num.adjusted() + 1}-digit decimal twin fails its check modulo 2^61 - 1")
+        raise CertificateError(f"a {num.adjusted() + 1}-digit decimal twin fails its residue check")
     return str(num) if den == 1 else f"{num}/{den}"
 
 
