@@ -7,7 +7,8 @@ decided exactly from the twins.  Before it is printed, each part of a twin is ch
 a recurrence of small ints modulo the prime ``P = 2^61 - 1``, so a value one unit off or not
 in lowest terms raises :class:`~recgrow.errors.CertificateError`.  A factor ``c`` leaves a
 residue as ``(x mod P*c) // c``, as no inverse of ``c`` exists when ``P`` divides it.  A ratio
-``D(k+l)/lower`` is reduced by :func:`twin_reduce` and checked as a value and for lowest terms.
+``D(k+l)/lower`` is reduced by a gcd ``g`` (:func:`twin_reduce`): each part times ``g`` is checked
+against the residues of its unreduced part, or exactly where ``P`` divides ``g``.
 """
 
 from __future__ import annotations
@@ -31,34 +32,34 @@ def twin_of(x: Fraction | int) -> tuple[Decimal, Decimal]:
     return to_decimal(x.numerator), to_decimal(x.denominator)
 
 
-def twin_reduce(x: Decimal, y: Decimal, w: int) -> tuple[Decimal, Decimal]:
-    """x/g and y/g for twins x and y != 0 with g = gcd(x, y), given that every prime
+def twin_reduce(x: Decimal, y: Decimal, w: int) -> tuple[Decimal, Decimal, Decimal]:
+    """x/g, y/g and g for twins x and y != 0 with g = gcd(x, y), given that every prime
     of g divides the small int ``w``: remainders modulo small ints find g."""
     if x == y:
-        return _ONE, _ONE
+        return _ONE, _ONE, x
 
     def common(m: int) -> int:
         c = m if m == 1 else math.gcd(m, int(EXACT.remainder(x, to_decimal(m))))
         return c if c == 1 else math.gcd(c, int(EXACT.remainder(y, to_decimal(c))))
 
-    c = common(w)
+    g, c = _ONE, common(w)
     while c > 1:
-        x, y = EXACT.divide_int(x, to_decimal(c)), EXACT.divide_int(y, to_decimal(c))
+        x, y, g = EXACT.divide_int(x, d := to_decimal(c)), EXACT.divide_int(y, d), EXACT.multiply(g, d)
         c = common(c * c)
-    return x, y
+    return x, y, g
 
 
 def _times(x: Decimal, c) -> Decimal:
     return x if c == 1 else EXACT.multiply(x, c)
 
 
-def _text(t: tuple, r: tuple, w: int = 0) -> str:
-    """"num" or "num/den" of the twin t, once it matches the residues r = (x, y): part by part,
-    or, given w, as the value x/y in parts that share no prime of w."""
+def _text(t: tuple, r: tuple, gp: int = 1, w: int = 1, exact=None) -> str:
+    """"num" or "num/den" of the twin t, once num*gp = x and den*gp = y modulo P for the residues
+    r = (x, y) (where P divides gp, once exact(t) holds) and num and den share no prime of w."""
     (num, den), (x, y) = t, r
-    rn, rd = (int(EXACT.remainder(v, to_decimal(P * (w or 1)))) for v in t)
-    ok = (rn * y - rd * x) % P == 0 and math.gcd(w, rn, rd) == 1 if w else (rn - x) % P == (rd - y) % P == 0
-    if not (ok and num.same_quantum(_ONE) and den.same_quantum(_ONE)):
+    rn, rd = (int(EXACT.remainder(v, to_decimal(P * w))) for v in t)
+    ok = (rn * gp - x) % P == (rd * gp - y) % P == 0 if gp % P else exact(t)
+    if not (ok and math.gcd(w, rn, rd) == 1 and num.same_quantum(_ONE) and den.same_quantum(_ONE)):
         raise CertificateError(f"a {num.adjusted() + 1}-digit decimal twin fails its residue check")
     return str(num) if den == 1 else f"{num}/{den}"
 
@@ -67,9 +68,7 @@ def _le(s: tuple, t: tuple) -> bool:
     """s <= t for twins of positive values: num/den lies in [10^(e-1), 10^(e+1)) for
     e = adjusted(num) - adjusted(den), and a cross-product decides the rest."""
     es, et = s[0].adjusted() - s[1].adjusted(), t[0].adjusted() - t[1].adjusted()
-    if abs(es - et) >= 2:
-        return es < et
-    return _times(s[0], t[1]) <= _times(t[0], s[1])
+    return es < et if abs(es - et) >= 2 else _times(s[0], t[1]) <= _times(t[0], s[1])
 
 
 def _orbit(params: Params, n: int):
@@ -114,17 +113,22 @@ def _power_over(t: tuple, f: Fraction, g: Fraction, k: int) -> tuple:
     return twin, (pow(fn, e, P * cn) // cn * (gd // cd), pow(fd, e, P * cd) // cd * (gn // cn))
 
 
-def _ratio(b: Fraction, d: Fraction, act: tuple, lo: tuple) -> tuple:
-    """(twin, value residues, w) of act / lo, reduced as bounds reduces D(k+l) / lower: a prime
-    shared by both parts before the reduction divides w."""
+def _ratio(b: Fraction, d: Fraction, act: tuple, lo: tuple, minus: int = 0) -> tuple:
+    """The arguments of _text for act / lo - minus, reduced as bounds reduces D(k+l) / lower: the
+    reduced parts times g are act_n*lo_d and act_d*lo_n, and a prime that these share divides w."""
     ((an, ad), (x, y)), ((ln, ld), (s, t)) = act, lo
-    xn, yn = twin_reduce(an, ln, b.numerator * d.numerator)
-    xd, yd = twin_reduce(ad, ld, b.denominator * d.denominator)
-    twin = _times(xn, yd), _times(xd, yn)
-    # the value check modulo P is void when P divides a residue (a denominator P of b, say): check exactly
-    if (x * t % P == 0 or y * s % P == 0) and _times(twin[0], _times(ad, ln)) != _times(twin[1], _times(an, ld)):
-        raise CertificateError("a ratio twin is not D(k+l)/lower")
-    return twin, (x * t, y * s), b.numerator * d.numerator * b.denominator * d.denominator
+    xn, yn, gn = twin_reduce(an, ln, b.numerator * d.numerator)
+    xd, yd, gd = twin_reduce(ad, ld, b.denominator * d.denominator)
+
+    def exact(twin: list) -> bool:
+        # P divides g, so the residues are 0 modulo P: check act and lo part by part, then the ratio exactly
+        _text(*act), _text(*lo)
+        p, q = _times(an, ld), _times(ad, ln)
+        return [EXACT.multiply(v, g) for v in twin] == [EXACT.subtract(p, q) if minus else p, q]
+
+    num, den, g = _times(xn, yd), _times(xd, yn), EXACT.multiply(gn, gd)
+    gp, w = int(EXACT.remainder(g, to_decimal(P))), b.numerator * d.numerator * b.denominator * d.denominator
+    return [EXACT.subtract(num, den) if minus else num, den], (x * t - minus * y * s, y * s), gp, w, exact
 
 
 def eval_values(params: Params, n: int, cap: int) -> tuple[list[str], bool]:
@@ -166,12 +170,11 @@ def profile_rows(params: Params, k: int, l_min: int, l_max: int, cap: int):
         p, qk = twin_of(f), twin_of(q)
         for _ in range(k):
             p, qk = _square(p), _square(qk)
-        (rn, rd), (x, y), w = _ratio(b, head[l], act, _power_over(p, f, b, k))
+        rat = _ratio(b, head[l], act, _power_over(p, f, b, k), minus=1)
         # Q(l) is reduced, so Q^(2^k) / Q divides part by part, and x - 1 of a reduced x stays reduced
         gn, gd = (EXACT.divide_int(s, t) for s, t in zip(qk, twin_of(q)))
         qn, qd = (pow(z, e - 1, P) for z in q.as_integer_ratio())
-        gap = _text((EXACT.subtract(gn, gd), gd), (qn - qd, qd))
-        yield l, _text((EXACT.subtract(rn, rd), rd), (x - y, y), w), gap
+        yield l, _text(*rat), _text((EXACT.subtract(gn, gd), gd), (qn - qd, qd))
 
 
 def benchmark_rows(params: Params, n: int, cap: int):

@@ -115,6 +115,15 @@ _CORRUPTED = [
 ]
 # part 3: numerator and denominator both times 3, the same value but not in lowest terms
 _CORRUPTED += [(command, 3) for command, _ in _CORRUPTED]
+# only the ratio twins of bounds and converge, put wrong as they are printed: part 4, both parts times
+# the prime 1000003, which divides no part of b or D(l); part 5, the numerator one unit off.  With
+# b = 1/P, P divides the gcd that reduces the ratio, and the ratio is checked exactly
+_CORRUPTED += [
+    (f"{command} --a {a} --b {b} {ks} --lmax 2", part)
+    for command, ks in (("bounds", "--kmax 2"), ("converge", "--k 2"))
+    for a, b in ((1, 1), ("1/2", "1/2 --d0 35/2"), (P, f"1/{P} --d0 3/2"))
+    for part in (4, 5)
+]
 
 # replaces the check-and-print step of recgrow.twins with one that corrupts each twin first
 _CORRUPT = """
@@ -125,12 +134,12 @@ from recgrow.serialize import EXACT
 def corrupt(part):
     text = twins._text
 
-    def _text(t, r, w=0):
-        if part == 3:
-            t = tuple(EXACT.multiply(x, 3) for x in t)
-        else:
-            t = tuple(EXACT.add(x, 1) if i == part else x for i, x in enumerate(t))
-        return text(t, r, w)
+    def _text(t, r, *ratio):
+        if part == 3 or part == 4 and ratio:
+            t = tuple(EXACT.multiply(x, 3 if part == 3 else 1000003) for x in t)
+        elif part < 3 or part == 5 and ratio:
+            t = tuple(EXACT.add(x, 1) if i == (0 if part == 5 else part) else x for i, x in enumerate(t))
+        return text(t, r, *ratio)
 
     twins._text = _text
 """
@@ -171,8 +180,8 @@ def test_corrupted_twin_exits_4_under_optimize_flag(command, part):
 
 _RATIO_FAULTS = [
     # each ratio reduces its numerators, then its denominators; a numerator times the prime 1000003 is
-    # still in lowest terms but has the wrong value.  With b = 1/P the ratio's residues modulo P are 0,
-    # so its value is checked exactly
+    # still in lowest terms but has the wrong value.  With b = 1/P, P divides the gcd that reduces the
+    # ratio, so its parts are checked exactly
     ("bounds --a 1 --b 1 --kmax 2 --lmax 2", "value"),
     (f"bounds --a {P} --b 1/{P} --kmax 2 --lmax 2", "value"),
     # the value is right but not in lowest terms
@@ -187,9 +196,9 @@ def test_ratio_from_a_faulty_reduction_exits_4(command, fault, capsys, monkeypat
 
     def faulty(x, y, w):
         if fault == "unreduced":
-            return x, y
-        x, y = reduce(x, y, w)
-        return (EXACT.multiply(x, 1000003), y) if next(calls) % 2 == 0 else (x, y)
+            return x, y, EXACT.create_decimal(1)
+        x, y, g = reduce(x, y, w)
+        return (EXACT.multiply(x, 1000003), y, g) if next(calls) % 2 == 0 else (x, y, g)
 
     monkeypatch.setattr(twins, "twin_reduce", faulty)
     assert cli.run(command.split()) == 4
@@ -205,3 +214,21 @@ def test_verdicts_come_from_the_twin_comparison(monkeypatch):
     assert [c["holds"] for c in _results("bounds --a 1 --b 1 --kmax 1 --lmax 2".split())["certificates"]] == [False] * 2
     rows = _results("benchmark --a 1 --b 1 --n 2".split())["rows"]
     assert [r["dominates"] for r in rows] == [False] * 3
+
+
+@pytest.mark.parametrize("abd", ["--a 1 --b 1", f"--a {P} --b 1/{P} --d0 3/2"])
+@pytest.mark.parametrize("part", [0, 1])
+def test_converge_checks_the_orbit_it_does_not_print(abd, part, capsys, monkeypatch):
+    # converge prints no D(k+l), so the check of its ratio must catch a D(k+l) one unit off, also where
+    # P divides the gcd of the ratio and the ratio is checked exactly
+    orbit = twins._orbit
+
+    def faulty(params, n):
+        for t, r in orbit(params, n):
+            yield tuple(EXACT.add(x, 1) if i == part else x for i, x in enumerate(t)), r
+
+    monkeypatch.setattr(twins, "_orbit", faulty)
+    assert cli.run(f"converge {abd} --k 2 --lmax 2".split()) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("recgrow: certificate failure: ")
