@@ -6,9 +6,10 @@ JSON reports share the top-level shape
     {schema_version, command, params, results, discrepancies}
 
 with all big values as exact strings, and are byte-stable for a fixed
-command line.  Exit codes: 0 success, 1 usage error, 2 invalid parameters,
-3 cap or tolerance failure, 4 certificate failure (a fault in the library,
-not in the input).
+command line.  Every check runs before the report is streamed to stdout in
+batches of at most 64 KiB.  Exit codes: 0 success, 1 usage error, 2 invalid
+parameters, 3 cap or tolerance failure, 4 certificate failure (a fault in the
+library, not in the input), 141 stdout closed by its reader (as by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import CapExceededError, CertificateError, InvalidParamsError, Tole
 from .recurrence import (
     DEFAULT_CAP, DEFAULT_MAX_DIGITS, DEFAULT_ROOT_DIGITS, MATRIX_DEFAULT_CAP, Params, evaluate, validate_params
 )
-from .serialize import canonical_json_bytes, decimal_str, frac_str, parse_rational
+from .serialize import decimal_str, frac_str, json_chunks, parse_rational
 
 SCHEMA_VERSION = 1
 
@@ -34,6 +35,10 @@ EXIT_USAGE = 1
 EXIT_INVALID_PARAMS = 2
 EXIT_CAP_OR_TOLERANCE = 3
 EXIT_CERTIFICATE = 4
+EXIT_BROKEN_PIPE = 141
+
+#: the most chars one write to stdout carries, unless it is one longer chunk of the report
+_BATCH = 1 << 16
 
 
 class _UsageError(Exception):
@@ -84,7 +89,7 @@ class Report:
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-def _render_json(report: Report) -> str:
+def _render_json(report: Report):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": report.command,
@@ -92,53 +97,53 @@ def _render_json(report: Report) -> str:
         "results": report.results,
         "discrepancies": report.discrepancies,
     }
-    return canonical_json_bytes(doc).decode("utf-8")
+    return json_chunks(doc)
 
 
-def _render_csv(report: Report) -> str:
+def _render_csv(report: Report):
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report.csv_header)
-    writer.writerows(report.csv_rows)
-    return buf.getvalue()
+    for row in (report.csv_header, *report.csv_rows):
+        writer.writerow(row)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
-def _render_table(report: Report) -> str:
-    lines = [f"# {report.command}"]
+def _render_table(report: Report):
+    yield f"# {report.command}\n"
     for key in sorted(report.params):
         value = report.params[key]
-        lines.append(f"{key} = {value if isinstance(value, str) else json.dumps(value)}")
-    lines.extend(report.table_lines)
+        yield f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n"
+    for line in report.table_lines:
+        yield line + "\n"
     if report.csv_rows:
-        cells = [[str(c) for c in row] for row in report.csv_rows]
-        header = [str(h) for h in report.csv_header]
-        widths = [
-            min(28, max(len(header[i]), max(len(row[i]) for row in cells)))
-            for i in range(len(header))
-        ]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-        for row in cells:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        # a cell is text twice, for the widths and as it is written, so the cells are never all text at once
+        widths = [min(28, max(len(str(c)) for c in column)) for column in zip(report.csv_header, *report.csv_rows)]
+        for row in (report.csv_header, *report.csv_rows):
+            yield "  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
     if report.discrepancies:
-        lines.append("published-vs-recomputed discrepancies:")
+        yield "published-vs-recomputed discrepancies:\n"
         for row in report.discrepancies:
             rel = {True: "==", False: "!=", None: "vs"}[row["matches"]]
-            lines.append(
-                f"  n={row['n']}: published {row['published']} {rel} recomputed {row['recomputed']}"
-                + ("" if row["published_exact"] else "  (published value approximate)")
-            )
-    return "\n".join(lines) + "\n"
+            note = "" if row["published_exact"] else "  (published value approximate)"
+            yield f"  n={row['n']}: published {row['published']} {rel} recomputed {row['recomputed']}{note}\n"
 
 
 def _emit(report: Report, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(_render_json(report))
-    elif fmt == "csv":
-        sys.stdout.write(_render_csv(report))
-    else:
-        sys.stdout.write(_render_table(report))
+    """Write the report to stdout in batches of at most _BATCH chars; a longer chunk goes alone."""
+    write = sys.stdout.write  # looked up now: tests and in-process runs swap stdout for a StringIO
+    render = {"json": _render_json, "csv": _render_csv}.get(fmt, _render_table)
+    batch, size = [], 0
+    for chunk in render(report):
+        if size + len(chunk) > _BATCH and batch:
+            write("".join(batch))  # the join of one chunk is that chunk, not a copy
+            batch, size = [], 0
+        batch.append(chunk)
+        size += len(chunk)
+    write("".join(batch))
 
 
 def _params_from_args(args) -> Params:
@@ -547,7 +552,16 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: end quietly, and keep the flush at exit from raising again
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

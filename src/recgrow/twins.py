@@ -3,28 +3,32 @@
 A value is built only as its *decimal twin*, numerator and denominator as exact ``Decimal``
 integers in :data:`~recgrow.serialize.EXACT`, by the step ``D(n+1) = a + b*D(n)^2`` or by
 squarings (``P^(2^k)``, ``R^(2^k)``, ``Q(l)^(2^k)``, ``2^(2^(n-1))``), and the verdicts are
-decided exactly from the twins.  Before it is printed, each part of a twin is checked against
-a recurrence of small ints modulo the prime ``P = 2^61 - 1``, so a value one unit off or not
-in lowest terms raises :class:`~recgrow.errors.CertificateError`.  A factor ``c`` leaves a
-residue as ``(x mod P*c) // c``, as no inverse of ``c`` exists when ``P`` divides it.  A ratio
-``D(k+l)/lower`` is reduced by a gcd ``g`` (:func:`twin_reduce`): each part times ``g`` is checked
-against the residues of its unreduced part, or exactly where ``P`` divides ``g``.
+decided exactly from the twins (:func:`_le`).  Each part of a twin is checked against a
+recurrence of small ints modulo the prime ``P = 2^61 - 1``, so a value one unit off or not in
+lowest terms raises :class:`~recgrow.errors.CertificateError`; the row functions return only
+checked twins, each as a :class:`~recgrow.serialize.TwinText`, so the report holds no text of its
+own.  A factor ``c`` leaves a residue as ``(x mod P*c) // c``, as no inverse of ``c`` exists when
+``P`` divides it.  A ratio ``D(k+l)/lower`` is reduced by a gcd ``g`` (:func:`twin_reduce`): each
+part times ``g`` is checked against the residues of its unreduced part, or exactly where ``P``
+divides ``g``.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import MAX_EMAX, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from itertools import islice
 
 from .errors import CertificateError
 from .recurrence import Params, SequenceTable, check_cap, q_factor
-from .serialize import EXACT, to_decimal
+from .serialize import EXACT, TwinText, to_decimal
 
 #: the prime of every residue check
 P = 2**61 - 1
 _ONE = Decimal(1)
+#: the precision, in digits, of the first outward-rounded bracket of a comparison
+_BRACKET_DIGITS = 64
 
 
 def twin_of(x: Fraction | int) -> tuple[Decimal, Decimal]:
@@ -53,22 +57,40 @@ def _times(x: Decimal, c) -> Decimal:
     return x if c == 1 else EXACT.multiply(x, c)
 
 
-def _text(t: tuple, r: tuple, gp: int = 1, w: int = 1, exact=None) -> str:
-    """"num" or "num/den" of the twin t, once num*gp = x and den*gp = y modulo P for the residues
+def _text(t: tuple, r: tuple, gp: int = 1, w: int = 1, exact=None) -> TwinText:
+    """The twin t = (num, den) as it prints, once num*gp = x and den*gp = y modulo P for the residues
     r = (x, y) (where P divides gp, once exact(t) holds) and num and den share no prime of w."""
     (num, den), (x, y) = t, r
     rn, rd = (int(EXACT.remainder(v, to_decimal(P * w))) for v in t)
     ok = (rn * gp - x) % P == (rd * gp - y) % P == 0 if gp % P else exact(t)
     if not (ok and math.gcd(w, rn, rd) == 1 and num.same_quantum(_ONE) and den.same_quantum(_ONE)):
         raise CertificateError(f"a {num.adjusted() + 1}-digit decimal twin fails its residue check")
-    return str(num) if den == 1 else f"{num}/{den}"
+    return TwinText(num, den)
 
 
 def _le(s: tuple, t: tuple) -> bool:
-    """s <= t for twins of positive values: num/den lies in [10^(e-1), 10^(e+1)) for
-    e = adjusted(num) - adjusted(den), and a cross-product decides the rest."""
-    es, et = s[0].adjusted() - s[1].adjusted(), t[0].adjusted() - t[1].adjusted()
-    return es < et if abs(es - et) >= 2 else _times(s[0], t[1]) <= _times(t[0], s[1])
+    """s <= t for twins of positive values.
+
+    num/den lies in [10^(e-1), 10^(e+1)) for e = adjusted(num) - adjusted(den), so digit counts
+    decide most pairs.  Else the cross-products s_n*t_d and t_n*s_d are bracketed from operands
+    rounded outward to prec digits, and prec grows fourfold while the brackets overlap; once prec
+    reaches the longest operand, the exact cross-products decide.
+    """
+    (sn, sd), (tn, td) = s, t
+    es, et = sn.adjusted() - sd.adjusted(), tn.adjusted() - td.adjusted()
+    if abs(es - et) >= 2:
+        return es < et
+    if sn == tn and sd == td:
+        return True
+    prec, top = _BRACKET_DIGITS, max(sn.adjusted(), sd.adjusted(), tn.adjusted(), td.adjusted()) + 1
+    while prec < top:
+        lo, hi = (Context(prec=prec, rounding=r, Emax=MAX_EMAX) for r in (ROUND_FLOOR, ROUND_CEILING))
+        if hi.multiply(hi.plus(sn), hi.plus(td)) <= lo.multiply(lo.plus(tn), lo.plus(sd)):
+            return True
+        if lo.multiply(lo.plus(sn), lo.plus(td)) > hi.multiply(hi.plus(tn), hi.plus(sd)):
+            return False
+        prec *= 4
+    return _times(sn, td) <= _times(tn, sd)
 
 
 def _orbit(params: Params, n: int):

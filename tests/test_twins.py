@@ -8,6 +8,7 @@ import itertools
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,6 +88,28 @@ def test_twin_comparison_matches_fraction_comparison(s, t, scale):
     x, y = (F(int(n), int(d)) for n, d in (s, t))
     assert twins._le(s, t) is (x <= y)
     assert twins._le(s, twins.twin_of(x * scale)) is True
+
+
+#: 10^1,000,001 as an exact integer: a twin part times it outgrows the default Emax of decimal contexts
+_TEN_BIG = EXACT.quantize(Decimal("1e1000001"), Decimal(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_twin, st.integers(1, 400), st.integers(-2, 2), st.integers(1, 3), st.booleans())
+@example(twins.twin_of(F(3, 2)), 1, 0, 1, True)  # equal twins
+@example(twins.twin_of(F(3, 2)), 1, 0, 2, True)  # equal values whose parts differ
+@example(twins.twin_of(F(10**30 - 1, 7)), 400, -1, 1, True)
+def test_close_twins_compare_as_fractions(s, shift, step, scale, big):
+    # t = s * (1 + step/10^shift) agrees with s in about shift leading digits, so the outward-rounded
+    # brackets must widen to separate them; equal values (step 0) with unequal parts reach the exact
+    # cross-products.  With big, both numerators are multiplied by 10^1,000,001, which keeps the order
+    x = F(int(s[0]), int(s[1]))
+    y = x * (10**shift + step) / 10**shift
+    t = tuple(EXACT.multiply(v, scale) for v in twins.twin_of(y))
+    if big:
+        s, t = (EXACT.multiply(s[0], _TEN_BIG), s[1]), (EXACT.multiply(t[0], _TEN_BIG), t[1])
+    assert twins._le(s, t) is (x <= y)
+    assert twins._le(t, s) is (y <= x)
 
 
 @settings(max_examples=40, deadline=None)
