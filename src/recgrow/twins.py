@@ -72,9 +72,10 @@ def _le(s: tuple, t: tuple) -> bool:
     """s <= t for twins of positive values.
 
     num/den lies in [10^(e-1), 10^(e+1)) for e = adjusted(num) - adjusted(den), so digit counts
-    decide most pairs.  Else the cross-products s_n*t_d and t_n*s_d are bracketed from operands
-    rounded outward to prec digits, and prec grows fourfold while the brackets overlap; once prec
-    reaches the longest operand, the exact cross-products decide.
+    decide most pairs, and twins with equal parts are equal.  Else the cross-products s_n*t_d
+    and t_n*s_d are bracketed from operands rounded outward to prec digits, and prec grows
+    fourfold while the brackets overlap; once prec reaches the longest operand, the exact
+    cross-products decide.
     """
     (sn, sd), (tn, td) = s, t
     es, et = sn.adjusted() - sd.adjusted(), tn.adjusted() - td.adjusted()

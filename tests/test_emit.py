@@ -39,9 +39,9 @@ class _Stdout:
 
 def _emit(report, fmt: str, keep: bool, monkeypatch) -> _Stdout:
     out = _Stdout(keep)
-    monkeypatch.setattr(sys, "stdout", out)
-    cli._emit(report, fmt)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", out)
+        cli._emit(report, fmt)
     return out
 
 
