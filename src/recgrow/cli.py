@@ -24,7 +24,8 @@ from fractions import Fraction
 # by the handlers that run them, so each invocation loads only what it uses
 from .errors import CapExceededError, CertificateError, InvalidParamsError, ToleranceUnachievableError
 from .recurrence import (
-    DEFAULT_CAP, DEFAULT_MAX_DIGITS, DEFAULT_ROOT_DIGITS, MATRIX_DEFAULT_CAP, Params, evaluate, validate_params
+    DEFAULT_CAP, DEFAULT_MAX_DIGITS, DEFAULT_ROOT_DIGITS, MATRIX_DEFAULT_CAP, Params, check_benchmark_regime,
+    check_cap, evaluate, validate_params,
 )
 from .serialize import decimal_str, frac_str, json_chunks, parse_rational
 
@@ -194,10 +195,12 @@ def _cmd_eval(args) -> Report:
     )
 
 
-def _rows_report(command: str, params: Params, fields: tuple, rows: list, key: str, results: dict, table_lines=()):
+def _rows_report(
+    command: str, params: dict, fields: tuple, rows: list, key: str, results: dict, table_lines=(), discrepancies=()
+):
     """A report with one row per line of the csv and one dict per row in results[key]."""
     results[key] = [dict(zip(fields, r)) for r in rows]
-    return Report(command, _params_dict(params), results, list(fields), rows, table_lines)
+    return Report(command, params, results, list(fields), rows, table_lines, discrepancies)
 
 
 def _cmd_bounds(args) -> Report:
@@ -207,8 +210,8 @@ def _cmd_bounds(args) -> Report:
     rows = [[k, l, frac_str(q), *rest] for k, l, q, *rest in twins.bound_rows(params, args.kmax, args.lmax, args.cap)]
     all_hold = all(r[-1] for r in rows)
     fields = ("k", "l", "q_l", "lower", "upper", "actual", "ratio", "holds")
-    results = {"k_max": args.kmax, "l_max": args.lmax, "all_hold": all_hold}
-    return _rows_report("bounds", params, fields, rows, "certificates", results, [f"all_hold = {all_hold}"])
+    results, lines = {"k_max": args.kmax, "l_max": args.lmax, "all_hold": all_hold}, [f"all_hold = {all_hold}"]
+    return _rows_report("bounds", _params_dict(params), fields, rows, "certificates", results, lines)
 
 
 def _cmd_converge(args) -> Report:
@@ -218,7 +221,7 @@ def _cmd_converge(args) -> Report:
     if args.lmin > args.lmax:
         raise _UsageError("converge: --lmin must not exceed --lmax")
     rows = [list(r) for r in twins.profile_rows(params, args.k, args.lmin, args.lmax, args.cap)]
-    return _rows_report("converge", params, ("l", "ratio_minus_1", "gap"), rows, "rows", {"k": args.k})
+    return _rows_report("converge", _params_dict(params), ("l", "ratio_minus_1", "gap"), rows, "rows", {"k": args.k})
 
 
 def _cmd_growth(args) -> Report:
@@ -255,17 +258,18 @@ def _cmd_growth(args) -> Report:
 
 def _cmd_benchmark(args) -> Report:
     from . import twins
-    from .growth import check_benchmark_regime
 
     params = _params_from_args(args)
     check_benchmark_regime(params)
     rows = [list(r) for r in twins.benchmark_rows(params, args.n, args.cap)]
     all_dominate = all(r[-1] for r in rows)
     fields, results = ("n", "value", "benchmark", "dominates"), {"all_dominate": all_dominate}
-    return _rows_report("benchmark", params, fields, rows, "rows", results, [f"all_dominate = {all_dominate}"])
+    lines = [f"all_dominate = {all_dominate}"]
+    return _rows_report("benchmark", _params_dict(params), fields, rows, "rows", results, lines)
 
 
-def _load_json_file(path: str) -> dict:
+def _read_document(path: str, kind: str, build):
+    """build(doc) for the JSON object in the file at path; every failure to read it is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -273,30 +277,28 @@ def _load_json_file(path: str) -> dict:
         raise _UsageError(f"cannot read JSON document {path}: {exc}")
     if not isinstance(doc, dict):
         raise _UsageError(f"JSON document {path} must contain an object")
-    return doc
+    try:
+        return build(doc)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise _UsageError(f"bad {kind} document: {exc}")
 
 
-def _family_from_doc(doc: dict) -> tuple:
+def _family_from_doc(doc: dict, n: int) -> tuple:
+    """(PowerNonlinearity, d0) of a nonlinearity document whose coefficient arrays cover steps 0..n-1."""
     from . import general as general_mod
 
-    try:
-        alpha = doc["alpha"]
-        beta = doc["beta"]
-        family = general_mod.PowerFamily(
-            power=int(doc.get("power", 2)),
-            alpha=tuple(parse_rational(c) for c in alpha) if isinstance(alpha, list) else parse_rational(alpha),
-            beta=tuple(parse_rational(c) for c in beta) if isinstance(beta, list) else parse_rational(beta),
-        )
-        pn = general_mod.PowerNonlinearity(
-            c1=parse_rational(doc["c1"]),
-            c2=parse_rational(doc["c2"]),
-            delta=parse_rational(doc["delta"]),
-            family=family,
-        )
-        d0 = parse_rational(doc.get("d0", "1"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"bad nonlinearity document: {exc}")
-    return pn, d0
+    power = doc.get("power", 2)
+    if type(power) not in (int, str):  # int() would read 2.7 as 2 and true as 1
+        raise TypeError(f"power must be an integer, got {type(power).__name__}")
+    coeffs = {}
+    for name in ("alpha", "beta"):
+        c = doc[name]
+        if isinstance(c, list) and len(c) < n:
+            raise ValueError(f"{name} has {len(c)} entries, fewer than --n {n}")
+        coeffs[name] = tuple(map(parse_rational, c)) if isinstance(c, list) else parse_rational(c)
+    family = general_mod.PowerFamily(power=int(power), **coeffs)
+    c1, c2, delta = (parse_rational(doc[name]) for name in ("c1", "c2", "delta"))
+    return general_mod.PowerNonlinearity(c1, c2, delta, family), parse_rational(doc.get("d0", "1"))
 
 
 def _coeff_json(coeffs):
@@ -308,11 +310,10 @@ def _coeff_json(coeffs):
 def _cmd_general(args) -> Report:
     from . import general as general_mod
 
-    pn, d0 = _family_from_doc(_load_json_file(args.file))
+    pn, d0 = _read_document(args.file, "nonlinearity", lambda doc: _family_from_doc(doc, args.n))
     if d0 < 1:
-        raise ValueError(f"seed must be >= 1, got {frac_str(d0)}")
-    if args.n > args.cap:
-        raise CapExceededError(f"n={args.n} exceeds cap={args.cap}")
+        raise InvalidParamsError(f"seed must be >= 1, got {frac_str(d0)}")
+    check_cap(args.n, args.cap)
     orbit = general_mod.iterate_family(pn.family, d0, args.n)
     samples = sorted(set(orbit) | {Fraction(1)})
     sandwich = general_mod.verify_sandwich(pn, samples, range(args.n))
@@ -329,46 +330,24 @@ def _cmd_general(args) -> Report:
         raise InvalidParamsError(sandwich)
     pair = general_mod.envelope(pn, d0, args.n, root_digits=args.digits)
     rows = [
-        {
-            "n": n,
-            "lower": frac_str(pair.lower[n]),
-            "value": frac_str(orbit[n]),
-            "upper": frac_str(pair.upper[n]),
-            "contained": pair.lower[n] <= orbit[n] <= pair.upper[n],
-        }
-        for n in range(args.n + 1)
+        [n, frac_str(lo), frac_str(value), frac_str(up), lo <= value <= up]
+        for n, (lo, value, up) in enumerate(zip(pair.lower, orbit, pair.upper))
     ]
-    all_contained = all(r["contained"] for r in rows)
-    return Report(
-        command="general",
-        params=params,
-        results={
-            "sandwich_ok": True,
-            "exact": pair.exact,
-            "rows": rows,
-            "all_contained": all_contained,
-        },
-        csv_header=["n", "lower", "value", "upper", "contained"],
-        csv_rows=[[r["n"], r["lower"], r["value"], r["upper"], r["contained"]] for r in rows],
-        table_lines=[
-            "sandwich_ok = True",
-            f"exact = {pair.exact}",
-            f"all_contained = {all_contained}",
-        ],
-    )
+    all_contained = all(r[-1] for r in rows)
+    fields = ("n", "lower", "value", "upper", "contained")
+    results = {"sandwich_ok": True, "exact": pair.exact, "all_contained": all_contained}
+    lines = ["sandwich_ok = True", f"exact = {pair.exact}", f"all_contained = {all_contained}"]
+    return _rows_report("general", params, fields, rows, "rows", results, lines)
 
 
 def _matrix_from_doc(doc: dict):
     from . import matrixrec
 
-    try:
-        return matrixrec.MatrixParams(
-            a=[[parse_rational(x) for x in row] for row in doc["a"]],
-            b=[[parse_rational(x) for x in row] for row in doc["b"]],
-            d0=[[parse_rational(x) for x in row] for row in doc["d0"]],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"bad matrix document: {exc}")
+    return matrixrec.MatrixParams(
+        a=[[parse_rational(x) for x in row] for row in doc["a"]],
+        b=[[parse_rational(x) for x in row] for row in doc["b"]],
+        d0=[[parse_rational(x) for x in row] for row in doc["d0"]],
+    )
 
 
 def _matrix_strings(mat: tuple) -> list:
@@ -378,7 +357,7 @@ def _matrix_strings(mat: tuple) -> list:
 def _cmd_matrix(args) -> Report:
     from . import matrixrec
 
-    mp = _matrix_from_doc(_load_json_file(args.file))
+    mp = _read_document(args.file, "matrix", _matrix_from_doc)
     seq = matrixrec.evaluate_matrix(mp, args.n, cap=args.cap)
     envelope = matrixrec.scalar_envelope(mp, args.n, cap=args.cap)
     norms = [matrixrec.max_row_sum(m) for m in seq]
@@ -419,28 +398,13 @@ def _cmd_ns(args) -> Report:
 
     model = nsmodel.NsModel(d=args.d, iterations=args.n, bytes_per_term=args.bytes_per_term)
     projection = nsmodel.cost_projection(model, budget=args.budget, cap=args.cap)
-    rows = [
-        {"n": r.n, "terms": frac_str(r.terms), "projected_bytes": frac_str(r.projected_bytes)}
-        for r in projection.rows
-    ]
+    rows = [[r.n, frac_str(r.terms), frac_str(r.projected_bytes)] for r in projection.rows]
     budget = None if projection.budget is None else frac_str(projection.budget)
-    return Report(
-        command="ns",
-        params={"d": model.d, "iterations": model.iterations, "bytes_per_term": model.bytes_per_term},
-        results={
-            "budget": budget,
-            "first_over_budget": projection.first_over_budget,
-            "rows": rows,
-        },
-        csv_header=["n", "terms", "projected_bytes"],
-        csv_rows=[[r["n"], r["terms"], r["projected_bytes"]] for r in rows],
-        table_lines=(
-            []
-            if budget is None
-            else [f"budget = {budget}", f"first_over_budget = {projection.first_over_budget}"]
-        ),
-        discrepancies=_discrepancies_for(Params(1, args.d * args.d, 1)),
-    )
+    params = {"d": model.d, "iterations": model.iterations, "bytes_per_term": model.bytes_per_term}
+    results = {"budget": budget, "first_over_budget": projection.first_over_budget}
+    lines = [] if budget is None else [f"budget = {budget}", f"first_over_budget = {projection.first_over_budget}"]
+    fields, discrepancies = ("n", "terms", "projected_bytes"), _discrepancies_for(Params(1, args.d * args.d, 1))
+    return _rows_report("ns", params, fields, rows, "rows", results, lines, discrepancies)
 
 
 # ---------------------------------------------------------------------------
@@ -521,25 +485,20 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    """Parse argv, execute, print the report; returns the process exit code."""
-    parser = build_parser()
+    """Parse argv, execute, print the report; returns the process exit code.
+
+    The error's type alone picks the exit code; any other exception is a fault and propagates.
+    """
     try:
-        args = parser.parse_args(list(argv))
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(list(argv))
+        report = _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        report = _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     except InvalidParamsError as exc:
         print(f"recgrow: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PARAMS
-    except ValueError as exc:
-        print(f"recgrow: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
     except (CapExceededError, ToleranceUnachievableError) as exc:
         print(f"recgrow: {exc}", file=sys.stderr)

@@ -6,12 +6,17 @@ class RecgrowError(Exception):
 
 
 class InvalidParamsError(RecgrowError, ValueError):
-    """Raised when a coefficient set fails the validity conditions.
+    """Raised when the input fails a validity condition: the CLI's exit code 2.
 
-    Carries the failing ``ValidationReport`` in ``report``.
+    Built from the failing ``ValidationReport``, kept in ``report``, or from a
+    message (``report`` is then None).
     """
 
     def __init__(self, report):
+        if isinstance(report, str):
+            self.report = None
+            super().__init__(f"invalid parameters: {report}")
+            return
         self.report = report
         names = ", ".join(name for name, _ in report.violations)
         super().__init__(f"invalid parameters, failed condition(s): {names}")

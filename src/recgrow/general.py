@@ -25,6 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
+from .errors import InvalidParamsError
 from .recurrence import DEFAULT_ROOT_DIGITS, ValidationReport, as_fraction
 from .roots import pow_lower, pow_upper
 from .serialize import frac_str
@@ -93,7 +94,7 @@ def verify_sandwich(pn: PowerNonlinearity, z_samples, n_range) -> ValidationRepo
     if not samples:
         raise ValueError("need at least one z sample")
     if any(z < 1 for z in samples):
-        raise ValueError("sandwich condition is only claimed for z >= 1")
+        raise InvalidParamsError("sandwich condition is only claimed for z >= 1")
     e = 1 + pn.delta
     u, v = e.numerator, e.denominator
     violations = []
@@ -139,7 +140,7 @@ def envelope(pn: PowerNonlinearity, d0, n_max: int, root_digits: int = DEFAULT_R
         lo = pn.c1 * pow_lower(lower[-1], e, root_digits)
         up = pn.c2 * pow_upper(upper[-1], e, root_digits)
         if lo < 1:
-            raise ValueError(
+            raise InvalidParamsError(
                 f"lower envelope left the z >= 1 regime at step {n + 1} (L={frac_str(lo)}); "
                 f"increase C1, the seed, or root_digits"
             )

@@ -18,8 +18,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import CapExceededError, CertificateError, ToleranceUnachievableError
-from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, Params, SequenceTable, evaluate, q_factor
+from .errors import CertificateError, InvalidParamsError, ToleranceUnachievableError
+from .recurrence import (
+    DEFAULT_CAP, DEFAULT_MAX_DIGITS, Params, SequenceTable, check_benchmark_regime, check_cap, evaluate, q_factor
+)
 from .roots import digit_budget, digits_for, nth_root_lower, nth_root_upper, pow_cmp
 from .serialize import frac_str
 
@@ -66,7 +68,7 @@ def growth_enclosure(
         raise ValueError(f"l must be >= 1, got {l}")
     rt = _as_tolerance(rtol)
     if not MIN_RTOL <= rt < 1:
-        raise ValueError(f"rtol must lie in [{MIN_RTOL}, 1), got {frac_str(rt)}")
+        raise InvalidParamsError(f"rtol must lie in [{MIN_RTOL}, 1), got {frac_str(rt)}")
     table = evaluate(params, l, cap=cap)
     m = 2 ** l
     x_lo = params.b * table[l]
@@ -134,7 +136,7 @@ def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
         raise ValueError("rtol must be positive")
     x = table.params.b * table[n]
     if x <= 1:
-        raise ValueError(f"b*D(n) must exceed 1 for the double log, got {frac_str(x)}")
+        raise InvalidParamsError(f"b*D(n) must exceed 1 for the double log, got {frac_str(x)}")
 
     from mpmath import log as _mp_log, mp
 
@@ -160,8 +162,7 @@ def doubling_benchmark(n: int, cap: int = DEFAULT_CAP) -> int:
     pinned to 1 by convention (the closed form would give sqrt(2))."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds cap={cap}")
+    check_cap(n, cap)
     if n == 0:
         return 1
     return 2 ** (2 ** (n - 1))
@@ -171,20 +172,10 @@ class BenchmarkRow(namedtuple("BenchmarkRow", "n value benchmark dominates")):
     __slots__ = ()
 
 
-def check_benchmark_regime(params: Params) -> None:
-    """Raise ValueError outside the benchmark's regime: integer a >= 1, b >= 1 and seed
-    d0 >= 1, where domination follows by induction from D(n+1) >= D(n)^2."""
-    if params.a.denominator != 1 or params.b.denominator != 1 or min(params.a, params.b, params.d0) < 1:
-        raise ValueError(
-            f"benchmark comparison needs integer a, b >= 1 and d0 >= 1; "
-            f"got ({frac_str(params.a)}, {frac_str(params.b)}, {frac_str(params.d0)})"
-        )
-
-
 def compare_to_benchmark(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> list[BenchmarkRow]:
     """Rows (n, D(n), 2^(2^(n-1)), D(n) >= benchmark) for n = 0..n_max.
 
-    Asserted regime: see :func:`check_benchmark_regime`.
+    Asserted regime: see :func:`~recgrow.recurrence.check_benchmark_regime`.
     """
     check_benchmark_regime(params)
     table = evaluate(params, n_max, cap=cap)

@@ -68,12 +68,16 @@ class MatrixParams(namedtuple("MatrixParams", "a b d0")):
         return len(self.a)
 
 
-def evaluate_matrix(mp: MatrixParams, n_max: int, cap: int = MATRIX_DEFAULT_CAP) -> tuple[Matrix, ...]:
-    """Exact matrix orbit D(0..n_max) under D(n+1) = A + B*D(n)^2."""
+def _check_index(n_max: int, cap: int) -> None:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if n_max > cap:
         raise CapExceededError(f"n_max={n_max} exceeds matrix cap={cap}")
+
+
+def evaluate_matrix(mp: MatrixParams, n_max: int, cap: int = MATRIX_DEFAULT_CAP) -> tuple[Matrix, ...]:
+    """Exact matrix orbit D(0..n_max) under D(n+1) = A + B*D(n)^2."""
+    _check_index(n_max, cap)
     seq = [mp.d0]
     for _ in range(n_max):
         cur = seq[-1]
@@ -88,10 +92,7 @@ def scalar_envelope(mp: MatrixParams, n_max: int, cap: int = MATRIX_DEFAULT_CAP)
     inequality; iterated directly since the norm coefficients need not
     satisfy the scalar growth conditions.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    if n_max > cap:
-        raise CapExceededError(f"n_max={n_max} exceeds matrix cap={cap}")
+    _check_index(n_max, cap)
     na, nb, nd0 = max_row_sum(mp.a), max_row_sum(mp.b), max_row_sum(mp.d0)
     values = [nd0]
     for _ in range(n_max):

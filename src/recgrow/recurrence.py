@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import CapExceededError, CertificateError, InvalidParamsError
+from .serialize import frac_str
 
 RationalLike = Union[Fraction, int, str]
 
@@ -121,6 +122,16 @@ def validate_params(a: RationalLike, b: RationalLike, d0: RationalLike = 1) -> V
     if not d0 > 0:
         violations.append(("d0 > 0", d0))
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def check_benchmark_regime(params: Params) -> None:
+    """Raise InvalidParamsError outside the benchmark's regime: integer a >= 1, b >= 1 and
+    seed d0 >= 1, where domination follows by induction from D(n+1) >= D(n)^2."""
+    if params.a.denominator != 1 or params.b.denominator != 1 or min(params.a, params.b, params.d0) < 1:
+        raise InvalidParamsError(
+            f"benchmark comparison needs integer a, b >= 1 and d0 >= 1; "
+            f"got ({frac_str(params.a)}, {frac_str(params.b)}, {frac_str(params.d0)})"
+        )
 
 
 def check_cap(n_max: int, cap: int) -> None:

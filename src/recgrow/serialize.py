@@ -117,7 +117,9 @@ def frac_str(x: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact inverse of :func:`frac_str`; accepts every string Fraction does."""
+    """Exact inverse of :func:`frac_str`; accepts every string Fraction does, and only strings."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a rational string, got {type(text).__name__}")
     match = _RATIONAL.fullmatch(text.strip())
     if match is None:
         return Fraction(text)  # raises Fraction's own error

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import CertificateError
-from .recurrence import Params, SequenceTable, check_cap, q_factor
+from .recurrence import Params, check_cap, evaluate, q_factor
 from .serialize import EXACT, TwinText, to_decimal
 
 #: the prime of every residue check
@@ -115,14 +115,6 @@ def _orbit(params: Params, n: int):
     yield t, (x, y)
 
 
-def _head(params: Params, n: int) -> SequenceTable:
-    """D(0..n) as Fractions, for the small bases b*D(l) and Q(l) of the bounds."""
-    values = [params.d0]
-    for _ in range(n):
-        values.append(params.a + params.b * values[-1] ** 2)
-    return SequenceTable(params, tuple(values))
-
-
 def _square(t: tuple) -> tuple:
     return tuple(EXACT.multiply(x, x) for x in t)
 
@@ -168,7 +160,7 @@ def bound_rows(params: Params, k_max: int, l_max: int, cap: int):
     Each row k squares the powers P^(2^(k-1)) and R^(2^(k-1)) of the row before, which is then dropped.
     """
     check_cap(k_max + l_max, cap)
-    b, head = params.b, _head(params, l_max)
+    b, head = params.b, evaluate(params, l_max, cap)
     orbit = list(_orbit(params, k_max + l_max))
     # the bases P = b*D(l) and R = P*Q(l), with Q(l)
     bases = {l: (b * head[l], q_factor(params, head, l)) for l in range(1, l_max + 1)}
@@ -187,7 +179,7 @@ def bound_rows(params: Params, k_max: int, l_max: int, cap: int):
 def profile_rows(params: Params, k: int, l_min: int, l_max: int, cap: int):
     """(l, ratio - 1, Q(l)^(2^k - 1) - 1) of each convergence profile row, l = l_min..l_max."""
     check_cap(k + l_max, cap)
-    b, head, e = params.b, _head(params, l_max), 1 << k
+    b, head, e = params.b, evaluate(params, l_max, cap), 1 << k
     for l, act in zip(range(l_min, l_max + 1), islice(_orbit(params, k + l_max), k + l_min, None)):
         f, q = b * head[l], q_factor(params, head, l)
         p, qk = twin_of(f), twin_of(q)

@@ -82,3 +82,15 @@ def test_cli_imports_subcommand_modules_in_their_handlers():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _package_imports(_module_level(tree)) == CLI_MODULE_LEVEL_IMPORTS
     assert _package_imports(ast.walk(tree)) >= {"twins", "growth", "general", "matrixrec", "nsmodel"}
+
+
+def test_run_catches_only_the_errors_it_maps_to_exit_codes():
+    # a ValueError or any other exception that no handler names is a fault, and must propagate
+    path = SOURCE / "cli.py"
+    run = next(n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.FunctionDef) and n.name == "run")
+    caught = set()
+    for handler in (n for n in ast.walk(run) if isinstance(n, ast.ExceptHandler)):
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        caught |= {ast.unparse(t) if t is not None else "<bare>" for t in types}
+    assert caught
+    assert caught & {"<bare>", "BaseException", "Exception", "ValueError", "ArithmeticError", "LookupError"} == set()

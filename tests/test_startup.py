@@ -37,6 +37,10 @@ CASES = {
         _RUN_MAIN.format(argv=["growth", "--a", "1", "--b", "1", "--l", "4", "--format", "json"]),
         {"recgrow.bounds", "recgrow.general", "recgrow.matrixrec", "recgrow.nsmodel", "recgrow.twins"},
     ),
+    "benchmark": (
+        _RUN_MAIN.format(argv=["benchmark", "--a", "1", "--b", "1", "--n", "4", "--format", "json"]),
+        SUBCOMMAND_MODULES - {"recgrow.twins"},
+    ),
     "ns": (
         _RUN_MAIN.format(argv=["ns", "--d", "3", "--n", "4", "--format", "json"]),
         {"recgrow.bounds", "recgrow.roots", "recgrow.twins"},
