@@ -15,6 +15,7 @@ C^(2^n), i.e. log2(ln(b*D(n)))/n -> 1, which :func:`log_log_index` tracks.
 
 from __future__ import annotations
 
+import decimal
 from collections import namedtuple
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .recurrence import (
     DEFAULT_CAP, DEFAULT_MAX_DIGITS, Params, SequenceTable, check_benchmark_regime, check_cap, evaluate, q_factor
 )
 from .roots import digit_budget, digits_for, nth_root_lower, nth_root_upper, pow_cmp
-from .serialize import frac_str
+from .serialize import EXACT, frac_str, to_decimal
 
 #: Finest relative tolerance the enclosure contract accepts.
 MIN_RTOL = Fraction(1, 10 ** 30)
@@ -96,30 +97,72 @@ def growth_enclosure(
     return GrowthEnclosure(l=l, c_lo=c_lo, c_hi=c_hi, digits=s)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -value if sign else value
+def _round(num: int, den: int, prec: int, exp: int = 0) -> tuple[int, int]:
+    """num/den * 2^exp (den > 0) rounded to prec bits, to nearest with ties to even,
+    as the pair (m, e) meaning m*2^e."""
+    if not num:
+        return 0, 0
+    a = abs(num)
+    e = a.bit_length() - den.bit_length() - prec
+    if e < 0:
+        a <<= -e
+    else:
+        den <<= e
+    # a/den now lies in [2^(prec-1), 2^(prec+1))
+    if a >= den << prec:
+        den <<= 1
+        e += 1
+    q, r = divmod(a, den)
+    if 2 * r > den or 2 * r == den and q & 1:
+        q += 1
+    return (q if num > 0 else -q), e + exp
 
 
-def _ln_fraction(x: Fraction, prec: int):
-    """ln(x) as an mpf at ~prec bits, via bit-length decomposition.
+def _add(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple[int, int]:
+    """x + y, of pairs (m, e), rounded to prec bits."""
+    (mx, ex), (my, ey) = x, y
+    e = min(ex, ey)
+    return _round((mx << (ex - e)) + (my << (ey - e)), 1, prec, e)
 
-    Huge integers never reach the transcendental code: each one contributes
-    (bits-1)*ln2 plus the log of a mantissa in [1, 2).
+
+def _ln(m: int, e: int, prec: int) -> tuple[int, int]:
+    """ln(m*2^e), m > 0, rounded to prec bits.
+
+    Decimal's ln is correctly rounded (Cowlishaw, General Decimal Arithmetic);
+    with 40 guard digits, rounding it again to binary gives the correctly
+    rounded binary value unless ln lies within about 10^-40 ulp of a midpoint.
     """
-    # mpmath is imported only by the log diagnostics, to keep it off the CLI's import path
-    from mpmath import log as _mp_log, mp, mpf
+    x = to_decimal(m << e) if e >= 0 else EXACT.scaleb(to_decimal(m * 5 ** -e), e)
+    num, den = decimal.Context(prec=prec * 30103 // 100000 + 41).ln(x).as_integer_ratio()
+    return _round(num, den, prec)
 
-    def ln_int(n: int):
-        shift = n.bit_length() - 1
+
+def _log_log_pass(x: Fraction, n: int, prec: int) -> Fraction | None:
+    """log2(ln x) / n as mpmath computes it at mp.prec = prec, or None if ln x rounds to <= 0.
+
+    Every step is mpmath's, each rounded to nearest at prec bits: ln of an int
+    is (bits-1)*ln2 plus the log of its leading prec+1 bits rounded to a
+    mantissa in [1, 2], so huge integers never reach the transcendental code.
+    mpmath's own steps are correctly rounded too, except where a value lies
+    within about 2^-20 ulp of a midpoint (it works at prec + 20 bits), so the
+    two agree bit for bit but in such a case.
+    """
+    ln2 = _ln(1, 1, prec)
+
+    def ln_int(k: int) -> tuple[int, int]:
+        shift = k.bit_length() - 1
         drop = max(0, shift - prec)
-        mant = mpf(n >> drop) / mpf(1 << (shift - drop))
-        return shift * mp.ln2 + _mp_log(mant)
+        mant = _round(k >> drop, 1, prec, drop - shift)
+        return _add(_round(shift * ln2[0], 1, prec, ln2[1]), _ln(*mant, prec), prec)
 
-    return ln_int(x.numerator) - ln_int(x.denominator)
+    m, e = ln_int(x.denominator)
+    m, e = _add(ln_int(x.numerator), (-m, e), prec)
+    if m <= 0:
+        return None
+    m, e = _ln(m, e, prec)
+    m, e = _round(m, ln2[0], prec, e - ln2[1])
+    m, e = _round(m, n, prec, e)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
@@ -127,7 +170,8 @@ def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
 
     Tends to 1 as n grows (deviation ~ |log2(ln C)| / n).  Evaluated at
     escalating precision until two consecutive passes agree within rtol/2;
-    the returned Fraction is the exact value of the final binary float.
+    the returned Fraction is the exact value of the final binary float.  A
+    pass in which ln(b*D(n)) cancels to zero or below gives no value.
     """
     if not 1 <= n <= table.n_max:
         raise IndexError(f"n={n} outside table range 1..{table.n_max}")
@@ -138,20 +182,12 @@ def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
     if x <= 1:
         raise InvalidParamsError(f"b*D(n) must exceed 1 for the double log, got {frac_str(x)}")
 
-    from mpmath import log as _mp_log, mp
-
-    def one_pass(prec: int) -> Fraction:
-        with mp.workprec(prec):
-            y = _ln_fraction(x, prec)
-            r = _mp_log(y) / mp.ln2 / n
-        return _mpf_to_fraction(r)
-
     prec = 80
-    prev = one_pass(prec)
+    prev = _log_log_pass(x, n, prec)
     while prec <= 1 << 22:
         prec *= 2
-        cur = one_pass(prec)
-        if abs(cur - prev) <= rt * abs(cur) / 2:
+        cur = _log_log_pass(x, n, prec)
+        if prev is not None and cur is not None and abs(cur - prev) <= rt * abs(cur) / 2:
             return cur
         prev = cur
     raise ToleranceUnachievableError(f"log-log index did not stabilize to rtol={frac_str(rt)}")

@@ -291,16 +291,33 @@ def test_ns_deep_subprocess():
     assert parse_rational(last["terms"]) == term_count(3, 13)
 
 
+_MPMATH_LOADED = """
+import sys
+import recgrow.cli
+
+print("mpmath" in sys.modules)
+sys.argv[1:] = {argv!r}
+try:
+    recgrow.cli.main()
+except SystemExit as exit:
+    print(exit.code, "mpmath" in sys.modules, file=sys.stderr)
+"""
+
+
 def test_cli_import_leaves_mpmath_unloaded():
-    # only the log diagnostics use mpmath, so importing the CLI must not load it
-    code = "import recgrow.cli, sys; print('mpmath' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # no code path of the package uses mpmath, so neither importing the CLI nor
+    # running the log-log diagnostic may load it
+    argv = "growth --a 1 --b 9 --l 8 --loglog-n 12".split()
+    proc = subprocess.run([sys.executable, "-c", _MPMATH_LOADED.format(argv=argv)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout.startswith("False\n")
+    assert "log_log_index(n=12)" in proc.stdout
+    assert proc.stderr == "0 False\n"
 
 
 # sha256 of `growth ... --format json` stdout, recorded while --max-digits still
-# budgeted the 2^l x digits radicand and mpmath was imported with the package
+# budgeted the 2^l x digits radicand and mpmath was imported with the package;
+# the log-log index, now computed without mpmath, keeps the same bits
 GROWTH_GOLDENS = {
     "growth --a 1 --b 1 --l 10": "981251cdb08dce7260f374d6f36fbf7fe633cd1713946718e899f714d3ce1bb3",
     "growth --a 1 --b 9 --l 8 --loglog-n 12": "feb69c26ddc6ee136136f6326e388f1f6bb5d95ff00d8209f907e9ba4c288371",

@@ -1,4 +1,6 @@
+import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import log as mp_log, mp, mpf
 
 from recgrow import (
     CapExceededError,
@@ -19,6 +21,7 @@ from recgrow import (
     log_log_index,
     q_factor,
 )
+from recgrow.cli import run
 
 F = Fraction
 
@@ -105,6 +108,70 @@ def test_log_log_index_domain_error():
     table = evaluate(Params(F(1, 4), 1, d0=F(1, 2)), 4)
     with pytest.raises(ValueError):
         log_log_index(table, 3, "1e-9")  # b*D(n) = 1/2 <= 1
+
+
+def _mpmath_pass(x: Fraction, n: int, prec: int) -> Fraction:
+    """log2(ln x) / n in mpmath at mp.prec = prec, exactly as the package computed it before it
+    dropped mpmath: ln of an int is (bits-1)*ln2 plus the log of its leading prec+1 bits."""
+
+    def ln_int(k):
+        shift = k.bit_length() - 1
+        drop = max(0, shift - prec)
+        return shift * mp.ln2 + mp_log(mpf(k >> drop) / mpf(1 << (shift - drop)))
+
+    with mp.workprec(prec):
+        sign, man, exp, _ = (mp_log(ln_int(x.numerator) - ln_int(x.denominator)) / mp.ln2 / n)._mpf_
+    return (-1) ** sign * F(int(man)) * F(2) ** int(exp)
+
+
+def _mpmath_log_log_index(table, n, rtol, prec=80):
+    """The reference loop: (value, final precision), passes doubling prec until two agree within rtol/2."""
+    x, rt = table.params.b * table[n], F(rtol)
+    prev = _mpmath_pass(x, n, prec)
+    while True:
+        prec *= 2
+        cur = _mpmath_pass(x, n, prec)
+        if abs(cur - prev) <= rt * abs(cur) / 2:
+            return cur, prec
+        prev = cur
+
+
+def _loglog_cases(rng):
+    """Fixed-seed (table, n, rtol) cases: integer orbits up to n = 19, rational ones up to n = 12."""
+    for orbit in range(110):
+        if orbit % 11 == 0:
+            params, n_max = Params(*(rng.randint(1, 9) for _ in range(3))), rng.randint(12, 19)
+        else:
+            b, d0 = (F(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(2))
+            a = 1 / (4 * b) + F(rng.randint(0, 20), rng.randint(1, 20))  # 4ab >= 1
+            params, n_max = Params(a, b, d0), rng.randint(1, 12)
+        table = evaluate(params, n_max)
+        for n in range(1, n_max + 1):
+            if params.b * table[n] > 1:
+                for rtol in rng.sample(["1e-6", "1e-9", "1e-15", "1e-20", "1e-30"], 3):
+                    yield table, n, rtol
+
+
+def test_log_log_index_matches_mpmath_bit_for_bit():
+    # every step is rounded to nearest at the working precision in both, so the binary floats agree
+    cases = list(_loglog_cases(random.Random(20240519)))
+    assert len(cases) >= 2000
+    precs = set()
+    for table, n, rtol in cases:
+        expected, prec = _mpmath_log_log_index(table, n, rtol)
+        assert log_log_index(table, n, rtol) == expected, (table.params, n, rtol)
+        precs.add(prec)
+    assert max(precs) >= 320  # some cases need three or more passes
+
+
+def test_log_log_index_near_one(capsys):
+    # b*D(1) = 1 + 10^-60: ln of numerator and denominator cancel to 0 at 80 and 160 bits
+    argv = "growth --a 1 --b 1 --d0 1e-30 --l 3 --loglog-n 1 --format json".split()
+    assert run(argv) == 0
+    value = F(json.loads(capsys.readouterr().out)["results"]["log_log_index"]["value"])
+    expected, _ = _mpmath_log_log_index(evaluate(Params(1, 1, F(1, 10 ** 30)), 1), 1, "1e-12", prec=4 * 80)
+    assert abs(value - expected) <= F(1, 10 ** 12) * abs(expected)
+    assert -200 < value < -199
 
 
 def test_doubling_benchmark_table():

@@ -65,16 +65,25 @@ def _module_level(tree: ast.Module):
             pending.extend(ast.iter_child_nodes(node))
 
 
-def test_no_dataclasses_in_package_source():
-    # importing dataclasses (and inspect with it) and building each class costs every invocation at startup
-    found = [
+def _imports_of(top: str) -> list[tuple[str, int]]:
+    """(file, line) of every import, at any depth, of the top-level module top or its submodules."""
+    return [
         (path.name, node.lineno)
         for path in sorted(SOURCE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == top for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == top)
     ]
-    assert found == []
+
+
+def test_no_dataclasses_in_package_source():
+    # importing dataclasses (and inspect with it) and building each class costs every invocation at startup
+    assert _imports_of("dataclasses") == []
+
+
+def test_no_mpmath_imports_in_package_source():
+    # mpmath is an independent oracle for the tests and the benchmark, not a runtime dependency
+    assert _imports_of("mpmath") == []
 
 
 def test_cli_imports_subcommand_modules_in_their_handlers():
