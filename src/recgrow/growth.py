@@ -147,20 +147,20 @@ def _log_log_pass(x: Fraction, n: int, prec: int) -> Fraction | None:
     within about 2^-20 ulp of a midpoint (it works at prec + 20 bits), so the
     two agree bit for bit but in such a case.
     """
-    ln2 = _ln(1, 1, prec)
+    ln2_m, ln2_e = _ln(1, 1, prec)
 
     def ln_int(k: int) -> tuple[int, int]:
         shift = k.bit_length() - 1
         drop = max(0, shift - prec)
         mant = _round(k >> drop, 1, prec, drop - shift)
-        return _add(_round(shift * ln2[0], 1, prec, ln2[1]), _ln(*mant, prec), prec)
+        return _add(_round(shift * ln2_m, 1, prec, ln2_e), _ln(*mant, prec), prec)
 
     m, e = ln_int(x.denominator)
     m, e = _add(ln_int(x.numerator), (-m, e), prec)
     if m <= 0:
         return None
     m, e = _ln(m, e, prec)
-    m, e = _round(m, ln2[0], prec, e - ln2[1])
+    m, e = _round(m, ln2_m, prec, e - ln2_e)
     m, e = _round(m, n, prec, e)
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
