@@ -7,7 +7,8 @@ discrepancy rows of `(1, 9, 1)`, rational orbits whose lowest-terms step
 divides out a factor (72 then 8 for `(9/4, 1/9, 3/2)`, 5 then 35 for
 `(3/7, 5/3, 11/5)`), the fixed-point orbit `(1/4, 1, 1/2)`, an orbit whose
 denominators are multiples of the residue check's prime 2^61 - 1, the doubling
-benchmark and a rational convergence profile.  `test_bounds_golden.py` covers
+benchmark, a rational convergence profile and the `ns` cost projection for
+d = 3 with its published-table rows.  `test_bounds_golden.py` covers
 `bounds` and the integer `converge`.
 """
 
@@ -64,6 +65,11 @@ GOLDENS = {
         "33fe4dc10ba031f5fed56259275cdf7b404cf5f2a08fef07c5a72c6dbf055e4a",
         "2808793e2a29b7b0520c4fc9dea27f2a681cb6c09ed5d34cbb960f53c35e4645",
         "ce77769bbb19a71ea7e88eb3e553fe3f6f6a3633e6cdf3e9ea29b7c546e9be78",
+    ),
+    "ns --d 3 --n 4 --bytes-per-term 16 --budget 1000000": (
+        "396b4d1e69558c305a83cc29cc4a8f70430757ae4e9487cdeff88adfb8659b01",
+        "e61b0c389bca38427deec589784b8ca529bcb7cebb640916d57c55c26650692d",
+        "8152cbd9a7aa36f97c4586d7f139613cc6443172042db3d1eeb1aaed07854d89",
     ),
 }
 
