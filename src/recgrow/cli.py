@@ -134,7 +134,13 @@ def _render_table(report: Report):
 
 
 def _emit(report: Report, fmt: str) -> None:
-    """Write the report to stdout in batches of at most _BATCH chars; a longer chunk goes alone."""
+    """Write the report to stdout in batches of at most _BATCH chars; a longer chunk goes alone.
+
+    The batching is not a copy of TextIOWrapper's buffer: under PYTHONUNBUFFERED=1
+    (or ``python -u``) sys.stdout.buffer is a raw FileIO and write_through is on,
+    so every write is a system call.  The 2,973 JSON chunks of
+    ``bounds --a 1 --b 1 --kmax 9 --lmax 9`` then go out in 24 writes, not 2,973.
+    """
     write = sys.stdout.write  # looked up now: tests and in-process runs swap stdout for a StringIO
     render = {"json": _render_json, "csv": _render_csv}.get(fmt, _render_table)
     batch, size = [], 0
@@ -163,16 +169,7 @@ def _discrepancies_for(params: Params) -> list:
         return []
     from . import nsmodel
 
-    return [
-        {
-            "n": row.n,
-            "published": row.published,
-            "published_exact": row.published_exact,
-            "recomputed": frac_str(row.recomputed),
-            "matches": row.matches,
-        }
-        for row in nsmodel.published_3d_discrepancies()
-    ]
+    return [{**row._asdict(), "recomputed": frac_str(row.recomputed)} for row in nsmodel.published_3d_discrepancies()]
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,6 @@ from .serialize import EXACT, frac_str, to_decimal
 MIN_RTOL = Fraction(1, 10 ** 30)
 
 
-def _as_tolerance(rtol) -> Fraction:
-    # floats are fine for tolerances (unlike coefficients): the binary value
-    # they denote is used exactly
-    return Fraction(rtol)
-
-
 class GrowthEnclosure(namedtuple("GrowthEnclosure", "l c_lo c_hi digits")):
     """Certified decimal interval [c_lo, c_hi] containing the growth constant.
 
@@ -67,7 +61,9 @@ def growth_enclosure(
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    rt = _as_tolerance(rtol)
+    # floats are fine for tolerances (unlike coefficients): the binary value
+    # they denote is used exactly
+    rt = Fraction(rtol)
     if not MIN_RTOL <= rt < 1:
         raise InvalidParamsError(f"rtol must lie in [{MIN_RTOL}, 1), got {frac_str(rt)}")
     table = evaluate(params, l, cap=cap)
@@ -77,12 +73,9 @@ def growth_enclosure(
     x_hi = x_lo * q
 
     with digit_budget(max_digits):
-        # coarse pass only to learn the root's magnitude
-        s0 = 8
-        c0 = nth_root_lower(x_lo, m, s0)
-        while c0 == 0:
-            s0 *= 2
-            c0 = nth_root_lower(x_lo, m, s0)
+        # coarse pass only to learn the root's magnitude; never 0, since
+        # b*D(l) = ab + b^2*D(l-1)^2 > ab >= 1/4 puts the root above 1/2
+        c0 = nth_root_lower(x_lo, m, 8)
         # grid below both the tolerance and the bracket width c*ln(Q)/m, estimated
         # from below via ln(Q) >= (Q-1)/Q; keeps rounding from dominating the width
         target = min(rt * c0 / 2, c0 * (q - 1) / (q * m) / 20)
@@ -175,7 +168,7 @@ def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
     """
     if not 1 <= n <= table.n_max:
         raise IndexError(f"n={n} outside table range 1..{table.n_max}")
-    rt = _as_tolerance(rtol)
+    rt = Fraction(rtol)
     if rt <= 0:
         raise ValueError("rtol must be positive")
     x = table.params.b * table[n]

@@ -105,29 +105,10 @@ class DiscrepancyRow(namedtuple("DiscrepancyRow", "n published published_exact r
 
 def published_3d_discrepancies(cap: int = DEFAULT_CAP) -> tuple[DiscrepancyRow, ...]:
     """Compare the published d = 3 table against exact recomputation."""
-    n_top = max(PUBLISHED_3D_APPROX)
+    table = evaluate(_params_for(3), max(PUBLISHED_3D_APPROX), cap=cap)
     rows = []
-    for n in range(n_top + 1):
-        recomputed = term_count(3, n, cap=cap)
-        if n < len(PUBLISHED_3D_EXACT):
-            pub = PUBLISHED_3D_EXACT[n]
-            rows.append(
-                DiscrepancyRow(
-                    n=n,
-                    published=str(pub),
-                    published_exact=True,
-                    recomputed=recomputed,
-                    matches=pub == recomputed,
-                )
-            )
-        else:
-            rows.append(
-                DiscrepancyRow(
-                    n=n,
-                    published=PUBLISHED_3D_APPROX[n],
-                    published_exact=False,
-                    recomputed=recomputed,
-                    matches=None,
-                )
-            )
+    for n, pub in (*enumerate(PUBLISHED_3D_EXACT), *PUBLISHED_3D_APPROX.items()):
+        recomputed = _integer_term(table, 3, n)
+        exact = isinstance(pub, int)
+        rows.append(DiscrepancyRow(n, str(pub), exact, recomputed, pub == recomputed if exact else None))
     return tuple(rows)

@@ -22,6 +22,7 @@ from recgrow import (
     q_factor,
 )
 from recgrow.cli import run
+from recgrow.roots import nth_root_lower
 
 F = Fraction
 
@@ -264,6 +265,23 @@ def test_enclosure_contains_aho_sloane_constant(b, extra, d0, l, rtol):
         c_lo = mpf(enc.c_lo.numerator) / enc.c_lo.denominator
         c_hi = mpf(enc.c_hi.numerator) / enc.c_hi.denominator
         assert c_lo - slack <= c <= c_hi + slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=_small_fractions,
+    extra=st.builds(F, st.integers(0, 20), st.integers(1, 20)),
+    d0=_small_fractions,
+    l=st.integers(1, 8),
+)
+@example(b=F(1), extra=F(0), d0=F(1, 2), l=8)  # fixed point: b*D(l) = 1/2 for every l
+@example(b=F(30), extra=F(0), d0=F(1, 30), l=1)  # ab = 1/4 and a small seed
+def test_coarse_root_is_at_least_one_half(b, extra, d0, l):
+    # growth_enclosure takes the root's magnitude from one 8-digit root with no
+    # retry: b*D(l) > ab >= 1/4 for l >= 1, so that root is never 0
+    params = Params(1 / (4 * b) + extra, b, d0)
+    x = b * evaluate(params, l)[l]
+    assert nth_root_lower(x, 2 ** l, 8) >= F(1, 2)
 
 
 _BAD_UPPER_ROOT = """

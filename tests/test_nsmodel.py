@@ -6,6 +6,7 @@ import pytest
 
 import recgrow.nsmodel as nsmodel
 from recgrow import (
+    CapExceededError,
     CertificateError,
     NsModel,
     Params,
@@ -91,6 +92,24 @@ def test_published_table_discrepancies():
     # the published continuation is exactly the coefficient-1 recursion
     assert 811802 == 901 ** 2 + 1
     assert int(by_n[4].published) == 811802 ** 2 + 1
+
+
+def test_published_table_evaluates_the_orbit_once(monkeypatch):
+    calls = []
+    evaluate = nsmodel.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(nsmodel, "evaluate", counting)
+    published_3d_discrepancies()
+    assert len(calls) == 1
+
+
+def test_published_table_respects_the_cap():
+    with pytest.raises(CapExceededError, match="n_max=7 exceeds cap=5"):
+        published_3d_discrepancies(cap=5)
 
 
 def test_dimension_maps_to_squared_coefficient():
