@@ -26,9 +26,10 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidParamsError
-from .recurrence import DEFAULT_ROOT_DIGITS, ValidationReport, as_fraction
+from .recurrence import DEFAULT_ROOT_DIGITS, ValidationReport, as_fraction, check_cap
+from .report import Report, _read_document, _rows_report
 from .roots import pow_lower, pow_upper
-from .serialize import frac_str
+from .serialize import frac_str, parse_rational
 
 
 def _coeff(coeffs, n: int) -> Fraction:
@@ -173,3 +174,56 @@ def closed_form_lower(
     lo = pow_lower(pn.c1, c_exp, root_digits) * pow_lower(z, z_exp, root_digits)
     hi = pow_upper(pn.c1, c_exp, root_digits) * pow_upper(z, z_exp, root_digits)
     return (lo, hi)
+
+
+def _family_from_doc(doc: dict, n: int) -> tuple:
+    """(PowerNonlinearity, d0) of a nonlinearity document whose coefficient arrays cover steps 0..n-1."""
+    power = doc.get("power", 2)
+    if type(power) not in (int, str):  # int() would read 2.7 as 2 and true as 1
+        raise TypeError(f"power must be an integer, got {type(power).__name__}")
+    coeffs = {}
+    for name in ("alpha", "beta"):
+        c = doc[name]
+        if isinstance(c, list) and len(c) < n:
+            raise ValueError(f"{name} has {len(c)} entries, fewer than --n {n}")
+        coeffs[name] = tuple(map(parse_rational, c)) if isinstance(c, list) else parse_rational(c)
+    family = PowerFamily(power=int(power), **coeffs)
+    c1, c2, delta = (parse_rational(doc[name]) for name in ("c1", "c2", "delta"))
+    return PowerNonlinearity(c1, c2, delta, family), parse_rational(doc.get("d0", "1"))
+
+
+def _coeff_json(coeffs):
+    if isinstance(coeffs, tuple):
+        return [frac_str(c) for c in coeffs]
+    return frac_str(coeffs)
+
+
+def _cmd_general(args) -> Report:
+    pn, d0 = _read_document(args.file, "nonlinearity", lambda doc: _family_from_doc(doc, args.n))
+    if d0 < 1:
+        raise InvalidParamsError(f"seed must be >= 1, got {frac_str(d0)}")
+    check_cap(args.n, args.cap)
+    orbit = iterate_family(pn.family, d0, args.n)
+    samples = sorted(set(orbit) | {Fraction(1)})
+    sandwich = verify_sandwich(pn, samples, range(args.n))
+    params = {
+        "c1": frac_str(pn.c1),
+        "c2": frac_str(pn.c2),
+        "delta": frac_str(pn.delta),
+        "power": pn.family.power,
+        "alpha": _coeff_json(pn.family.alpha),
+        "beta": _coeff_json(pn.family.beta),
+        "d0": frac_str(d0),
+    }
+    if not sandwich.ok:
+        raise InvalidParamsError(sandwich)
+    pair = envelope(pn, d0, args.n, root_digits=args.digits)
+    rows = [
+        [n, frac_str(lo), frac_str(value), frac_str(up), lo <= value <= up]
+        for n, (lo, value, up) in enumerate(zip(pair.lower, orbit, pair.upper))
+    ]
+    all_contained = all(r[-1] for r in rows)
+    fields = ("n", "lower", "value", "upper", "contained")
+    results = {"sandwich_ok": True, "exact": pair.exact, "all_contained": all_contained}
+    lines = ["sandwich_ok = True", f"exact = {pair.exact}", f"all_contained = {all_contained}"]
+    return _rows_report("general", params, fields, rows, "rows", results, lines)

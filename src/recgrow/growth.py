@@ -24,7 +24,8 @@ from .recurrence import (
     DEFAULT_CAP, DEFAULT_MAX_DIGITS, Params, SequenceTable, check_benchmark_regime, check_cap, evaluate, q_factor
 )
 from .roots import digit_budget, digits_for, nth_root_lower, nth_root_upper, pow_cmp
-from .serialize import EXACT, frac_str, to_decimal
+from .report import Report, _params_dict, _params_from_args
+from .serialize import EXACT, decimal_str, frac_str, to_decimal
 
 #: Finest relative tolerance the enclosure contract accepts.
 MIN_RTOL = Fraction(1, 10 ** 30)
@@ -213,3 +214,32 @@ def compare_to_benchmark(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> 
         mark = doubling_benchmark(n, cap=cap)
         rows.append(BenchmarkRow(n, table[n], mark, table[n] >= mark))
     return rows
+
+
+def _cmd_growth(args) -> Report:
+    params = _params_from_args(args)
+    enc = growth_enclosure(params, args.l, args.rtol, cap=args.cap, max_digits=args.max_digits)
+    results = {
+        "l": enc.l,
+        "rtol": frac_str(args.rtol),
+        "digits": enc.digits,
+        "c_lo": decimal_str(enc.c_lo, enc.digits),
+        "c_hi": decimal_str(enc.c_hi, enc.digits),
+        "width": decimal_str(enc.width, enc.digits),
+    }
+    if args.loglog_n is not None:
+        index = log_log_index(evaluate(params, args.loglog_n, cap=args.cap), args.loglog_n, args.rtol)
+        results["log_log_index"] = {"n": args.loglog_n, "value": frac_str(index)}
+    return Report(
+        command="growth",
+        params=_params_dict(params),
+        results=results,
+        csv_header=["l", "digits", "c_lo", "c_hi", "width"],
+        csv_rows=[[enc.l, enc.digits, results["c_lo"], results["c_hi"], results["width"]]],
+        table_lines=[f"rtol = {results['rtol']}"]
+        + (
+            [f"log_log_index(n={args.loglog_n}) = {results['log_log_index']['value']}"]
+            if args.loglog_n is not None
+            else []
+        ),
+    )

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 from .errors import CapExceededError
 from .recurrence import MATRIX_DEFAULT_CAP, Params, SequenceTable, as_fraction
+from .report import Report, _read_document
+from .serialize import frac_str, parse_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -98,3 +100,52 @@ def scalar_envelope(mp: MatrixParams, n_max: int, cap: int = MATRIX_DEFAULT_CAP)
     for _ in range(n_max):
         values.append(na + nb * values[-1] ** 2)
     return SequenceTable(params=Params(a=na, b=nb, d0=nd0), values=tuple(values))
+
+
+def _matrix_from_doc(doc: dict) -> MatrixParams:
+    return MatrixParams(
+        a=[[parse_rational(x) for x in row] for row in doc["a"]],
+        b=[[parse_rational(x) for x in row] for row in doc["b"]],
+        d0=[[parse_rational(x) for x in row] for row in doc["d0"]],
+    )
+
+
+def _matrix_strings(mat: Matrix) -> list:
+    return [[frac_str(x) for x in row] for row in mat]
+
+
+def _cmd_matrix(args) -> Report:
+    mp = _read_document(args.file, "matrix", _matrix_from_doc)
+    seq = evaluate_matrix(mp, args.n, cap=args.cap)
+    envelope = scalar_envelope(mp, args.n, cap=args.cap)
+    norms = [max_row_sum(m) for m in seq]
+    dominated = all(norms[n] <= envelope[n] for n in range(args.n + 1))
+    rows = [
+        {
+            "n": n,
+            "norm": frac_str(norms[n]),
+            "envelope": frac_str(envelope[n]),
+            "matrix": _matrix_strings(seq[n]),
+        }
+        for n in range(args.n + 1)
+    ]
+    return Report(
+        command="matrix",
+        params={
+            "dim": mp.dim,
+            "a": _matrix_strings(mp.a),
+            "b": _matrix_strings(mp.b),
+            "d0": _matrix_strings(mp.d0),
+        },
+        results={
+            "n_max": args.n,
+            "rows": rows,
+            "norm_dominated": dominated,
+        },
+        csv_header=["n", "norm", "envelope", "matrix"],
+        csv_rows=[
+            [r["n"], r["norm"], r["envelope"], ";".join(" ".join(row) for row in r["matrix"])]
+            for r in rows
+        ],
+        table_lines=[f"norm_dominated = {dominated}"],
+    )

@@ -18,6 +18,8 @@ from typing import Optional
 
 from .errors import CertificateError
 from .recurrence import DEFAULT_CAP, Params, evaluate
+from .report import Report, _discrepancies_for, _rows_report
+from .serialize import frac_str
 
 
 def _params_for(d: int) -> Params:
@@ -112,3 +114,16 @@ def published_3d_discrepancies(cap: int = DEFAULT_CAP) -> tuple[DiscrepancyRow, 
         exact = isinstance(pub, int)
         rows.append(DiscrepancyRow(n, str(pub), exact, recomputed, pub == recomputed if exact else None))
     return tuple(rows)
+
+
+def _cmd_ns(args) -> Report:
+    model = NsModel(d=args.d, iterations=args.n, bytes_per_term=args.bytes_per_term)
+    projection = cost_projection(model, budget=args.budget, cap=args.cap)
+    rows = [[r.n, frac_str(r.terms), frac_str(r.projected_bytes)] for r in projection.rows]
+    budget = None if projection.budget is None else frac_str(projection.budget)
+    params = {"d": model.d, "iterations": model.iterations, "bytes_per_term": model.bytes_per_term}
+    results = {"budget": budget, "first_over_budget": projection.first_over_budget}
+    lines = [] if budget is None else [f"budget = {budget}", f"first_over_budget = {projection.first_over_budget}"]
+    fields = ("n", "terms", "projected_bytes")
+    discrepancies = _discrepancies_for(Params(1, args.d * args.d, 1), args.cap)
+    return _rows_report("ns", params, fields, rows, "rows", results, lines, discrepancies)

@@ -10,7 +10,7 @@ import pytest
 
 import recgrow
 from recgrow.bounds import BoundCertificate, ConvergenceProfile
-from recgrow.cli import Report
+from recgrow.report import Report
 from recgrow.errors import CertificateError
 from recgrow.general import EnvelopePair, PowerFamily, PowerNonlinearity
 from recgrow.growth import BenchmarkRow, GrowthEnclosure

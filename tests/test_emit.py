@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import recgrow.cli as cli
+import recgrow.report as report_mod
 from recgrow.serialize import TwinText
 
 _BOUNDS_9 = "bounds --a 1 --b 1 --kmax 9 --lmax 9 --format json"  # 1,308,034 bytes
@@ -21,7 +22,7 @@ _BOUNDS_9 = "bounds --a 1 --b 1 --kmax 9 --lmax 9 --format json"  # 1,308,034 by
 
 def _report(command: str):
     args = cli.build_parser().parse_args(command.split())
-    return cli._HANDLERS[args.command](args), args.format
+    return cli._handler(args.command)(args), args.format
 
 
 class _Stdout:
@@ -41,7 +42,7 @@ def _emit(report, fmt: str, keep: bool, monkeypatch) -> _Stdout:
     out = _Stdout(keep)
     with monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", out)
-        cli._emit(report, fmt)
+        report_mod._emit(report, fmt)
     return out
 
 
@@ -62,17 +63,17 @@ def test_writes_are_bounded_batches_of_the_canonical_document(command, monkeypat
     text = "".join(writes)
     if fmt == "json":
         doc = {name: getattr(report, name) for name in ("command", "params", "results", "discrepancies")}
-        doc["schema_version"] = cli.SCHEMA_VERSION
+        doc["schema_version"] = report_mod.SCHEMA_VERSION
         assert text == json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "), default=str) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([report.csv_header, *report.csv_rows])
         assert text == buf.getvalue()
-    render = {"json": cli._render_json, "csv": cli._render_csv, "table": cli._render_table}[fmt]
+    render = {"json": report_mod._render_json, "csv": report_mod._render_csv, "table": report_mod._render_table}[fmt]
     # a write longer than a batch is one chunk of the document, written as it is
-    assert [w for w in writes if len(w) > cli._BATCH] == [c for c in render(report) if len(c) > cli._BATCH]
+    assert [w for w in writes if len(w) > report_mod._BATCH] == [c for c in render(report) if len(c) > report_mod._BATCH]
     # and batches are full: each write but the last ended where the next chunk would not fit
-    assert all(len(a) + len(b) > cli._BATCH for a, b in zip(writes, writes[1:]))
+    assert all(len(a) + len(b) > report_mod._BATCH for a, b in zip(writes, writes[1:]))
 
 
 def test_emission_holds_one_value_as_text_at_a_time(monkeypatch):
@@ -89,13 +90,13 @@ def test_emission_holds_one_value_as_text_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert size == 1_308_034
     # the whole document as one string, or its values all as text, would be ten times the largest value
-    assert peak <= 3 * largest + 2 * cli._BATCH, (peak, largest)
+    assert peak <= 3 * largest + 2 * report_mod._BATCH, (peak, largest)
 
 
 def test_json_reports_serialize_twin_texts_and_nothing_else():
-    report = cli.Report("x", {}, {"value": Fraction(1, 2)}, [], [])
+    report = report_mod.Report("x", {}, {"value": Fraction(1, 2)}, [], [])
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
-        list(cli._render_json(report))
+        list(report_mod._render_json(report))
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

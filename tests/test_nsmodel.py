@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -110,6 +111,16 @@ def test_published_table_evaluates_the_orbit_once(monkeypatch):
 def test_published_table_respects_the_cap():
     with pytest.raises(CapExceededError, match="n_max=7 exceeds cap=5"):
         published_3d_discrepancies(cap=5)
+
+
+@pytest.mark.parametrize("argv", [["eval", "--a", "1", "--b", "9", "--n", "2"], ["ns", "--d", "3", "--n", "2"]])
+def test_cli_cap_bounds_the_published_table(argv, capsys):
+    # the section runs to D(7), so a cap below 7 refuses the command as the library call does
+    assert run([*argv, "--cap", "2", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "recgrow: n_max=7 exceeds cap=2; term sizes grow like 2^n bits\n")
+    assert run([*argv, "--cap", "7", "--format", "json"]) == 0
+    assert [row["n"] for row in json.loads(capsys.readouterr().out)["discrepancies"]] == list(range(8))
 
 
 def test_dimension_maps_to_squared_coefficient():

@@ -6,8 +6,8 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "recgrow"
 #: (file, enclosing scope) of the asserts allowed: none, every check raises explicitly.
 ALLOWED_ASSERTS = set()
 
-#: the package modules that cli.py may import at module level; the rest load in the handlers that run them
-CLI_MODULE_LEVEL_IMPORTS = {"errors", "recurrence", "serialize"}
+#: the package modules that cli.py imports; the handler's home module is imported by run, by name
+CLI_MODULE_LEVEL_IMPORTS = {"errors", "recurrence", "report", "serialize"}
 
 
 def _asserts(path: Path) -> list[tuple[str, str, int]]:
@@ -86,11 +86,39 @@ def test_no_mpmath_imports_in_package_source():
     assert _imports_of("mpmath") == []
 
 
-def test_cli_imports_subcommand_modules_in_their_handlers():
+def test_cli_imports_no_subcommand_module():
     path = SOURCE / "cli.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _package_imports(_module_level(tree)) == CLI_MODULE_LEVEL_IMPORTS
-    assert _package_imports(ast.walk(tree)) >= {"twins", "growth", "general", "matrixrec", "nsmodel"}
+    assert _package_imports(ast.walk(tree)) == CLI_MODULE_LEVEL_IMPORTS
+
+
+def test_cli_defines_no_handler():
+    # each handler lives in its subcommand's home module, so an invocation compiles only the one it runs
+    path = SOURCE / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")] == []
+
+
+def _imported_names(node) -> set[str]:
+    """Dotted names an import statement may load, a relative import read as one of recgrow's."""
+    if isinstance(node, ast.Import):
+        return {a.name for a in node.names}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    module = ".".join(filter(None, ["recgrow" if node.level else "", node.module]))
+    return {module} | {f"{module}.{a.name}" for a in node.names}
+
+
+def test_no_module_imports_cli():
+    # `python -m recgrow.cli` runs cli.py as __main__, so an import of recgrow.cli would compile it a second time
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "recgrow.cli" in _imported_names(node)
+    ]
+    assert found == []
 
 
 def test_run_catches_only_the_errors_it_maps_to_exit_codes():

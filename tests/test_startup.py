@@ -26,24 +26,25 @@ SUBCOMMAND_MODULES = {
 CASES = {
     "import recgrow": (
         _IMPORT.format(module="recgrow"),
-        {"dataclasses", "recgrow.cli", "recgrow.errors", "recgrow.recurrence", "recgrow.serialize"} | SUBCOMMAND_MODULES,
+        {"dataclasses", "recgrow.cli", "recgrow.errors", "recgrow.recurrence", "recgrow.report", "recgrow.serialize"}
+        | SUBCOMMAND_MODULES,
     ),
     "import recgrow.cli": (_IMPORT.format(module="recgrow.cli"), {"dataclasses", "inspect"} | SUBCOMMAND_MODULES),
     "eval": (
         _RUN_MAIN.format(argv=["eval", "--a", "1", "--b", "1", "--n", "4", "--format", "json"]),
-        {"recgrow.bounds", "recgrow.roots"},
+        {"recgrow.bounds", "recgrow.cli", "recgrow.roots"},
     ),
     "growth": (
         _RUN_MAIN.format(argv=["growth", "--a", "1", "--b", "1", "--l", "4", "--format", "json"]),
-        {"recgrow.bounds", "recgrow.general", "recgrow.matrixrec", "recgrow.nsmodel", "recgrow.twins"},
+        {"recgrow.bounds", "recgrow.cli", "recgrow.general", "recgrow.matrixrec", "recgrow.nsmodel", "recgrow.twins"},
     ),
     "benchmark": (
         _RUN_MAIN.format(argv=["benchmark", "--a", "1", "--b", "1", "--n", "4", "--format", "json"]),
-        SUBCOMMAND_MODULES - {"recgrow.twins"},
+        {"recgrow.cli"} | SUBCOMMAND_MODULES - {"recgrow.twins"},
     ),
     "ns": (
         _RUN_MAIN.format(argv=["ns", "--d", "3", "--n", "4", "--format", "json"]),
-        {"recgrow.bounds", "recgrow.roots", "recgrow.twins"},
+        {"recgrow.bounds", "recgrow.cli", "recgrow.roots", "recgrow.twins"},
     ),
 }
 
