@@ -124,6 +124,5 @@ def _cmd_ns(args) -> Report:
     params = {"d": model.d, "iterations": model.iterations, "bytes_per_term": model.bytes_per_term}
     results = {"budget": budget, "first_over_budget": projection.first_over_budget}
     lines = [] if budget is None else [f"budget = {budget}", f"first_over_budget = {projection.first_over_budget}"]
-    fields = ("n", "terms", "projected_bytes")
-    discrepancies = _discrepancies_for(Params(1, args.d * args.d, 1), args.cap)
+    fields, discrepancies = ("n", "terms", "projected_bytes"), _discrepancies_for(_params_for(args.d), args.cap)
     return _rows_report("ns", params, fields, rows, "rows", results, lines, discrepancies)
