@@ -16,13 +16,12 @@ cache may be at hand.
 from __future__ import annotations
 
 import io
-import json
 import sys
 from fractions import Fraction
 
 from .errors import InvalidParamsError
 from .recurrence import Params, check_benchmark_regime, validate_params
-from .serialize import frac_str, json_chunks
+from .serialize import TwinText, frac_str, json_chunks
 
 SCHEMA_VERSION = 1
 
@@ -77,12 +76,18 @@ def _render_table(report: Report):
     yield f"# {report.command}\n"
     for key in sorted(report.params):
         value = report.params[key]
-        yield f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n"
+        if not isinstance(value, str):
+            import json
+
+            value = json.dumps(value)
+        yield f"{key} = {value}\n"
     for line in report.table_lines:
         yield line + "\n"
     if report.csv_rows:
-        # a cell is text twice, for the widths and as it is written, so the cells are never all text at once
-        widths = [min(28, max(len(str(c)) for c in column)) for column in zip(report.csv_header, *report.csv_rows)]
+        # a twin's width comes from its digit counts, so a cell is text once, as its row is written,
+        # and the cells are never all text at once
+        columns = zip(report.csv_header, *report.csv_rows)
+        widths = [min(28, max(len(c) if type(c) is TwinText else len(str(c)) for c in column)) for column in columns]
         for row in (report.csv_header, *report.csv_rows):
             yield "  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
     if report.discrepancies:
@@ -98,8 +103,8 @@ def _emit(report: Report, fmt: str) -> None:
 
     The batching is not a copy of TextIOWrapper's buffer: under PYTHONUNBUFFERED=1
     (or ``python -u``) sys.stdout.buffer is a raw FileIO and write_through is on,
-    so every write is a system call.  The 2,973 JSON chunks of
-    ``bounds --a 1 --b 1 --kmax 9 --lmax 9`` then go out in 24 writes, not 2,973.
+    so every write is a system call.  The 2,438 JSON chunks of
+    ``bounds --a 1 --b 1 --kmax 9 --lmax 9`` then go out in 24 writes, not 2,438.
     """
     write = sys.stdout.write  # looked up now: tests and in-process runs swap stdout for a StringIO
     render = {"json": _render_json, "csv": _render_csv}.get(fmt, _render_table)
@@ -143,6 +148,8 @@ def _rows_report(
 
 def _read_document(path: str, kind: str, build):
     """build(doc) for the JSON object in the file at path; every failure to read it is a usage error."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

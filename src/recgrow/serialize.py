@@ -13,8 +13,9 @@ linear time, so a chain that stays in the output radix costs O(M(n)) where
 radix conversion costs M(n) log n (Brent and Zimmermann, *Modern Computer
 Arithmetic*, 2010, section 1.7).  A report holds each such value as a
 :class:`TwinText`, about 0.42 bytes per digit; :func:`json_chunks` yields the
-JSON document piece by piece, so a value's text exists only while the CLI
-writes it.
+JSON document piece by piece, a twin's numerator and denominator as separate
+pieces, so a value's text exists once, one part at a time, while the CLI
+writes it, and neither "num/den" nor an escaped copy of it is ever built.
 
 The ints printed here convert by divide and conquer: :func:`to_decimal`
 splits an int by bit position and joins the halves in :data:`EXACT`.
@@ -27,7 +28,6 @@ so the interpreter-wide limit is never changed.
 from __future__ import annotations
 
 import decimal
-import json
 import re
 from fractions import Fraction
 
@@ -94,6 +94,11 @@ class TwinText:
     def __str__(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
+    def __len__(self) -> int:
+        """``len(str(self))``, from the parts' digit counts and signs, without the text."""
+        size = self.num.adjusted() + 1 + self.num.is_signed()
+        return size if self.den == 1 else size + self.den.adjusted() + 2 + self.den.is_signed()
+
 
 def _int_str(n: int) -> str:
     """Decimal digits of ``n``, in subquadratic time for huge ``n``."""
@@ -150,14 +155,65 @@ def decimal_str(x: Fraction, digits: int) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def _twin_str(obj) -> str:
-    if type(obj) is not TwinText:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return str(obj)
+def _unserializable(obj) -> TypeError:
+    return TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _quote(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json  # only strings that need escapes pay for the module
+
+    return json.dumps(text)
+
+
+def _chunks(obj, newline: str):
+    """The JSON text of obj at the indentation that ``newline`` ends with."""
+    if type(obj) is TwinText:
+        # each part becomes text alone, and no joined or escaped copy of it is made
+        yield '"'
+        yield str(obj.num)
+        if obj.den != 1:
+            yield "/"
+            yield str(obj.den)
+        yield '"'
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        for key in obj:
+            if not isinstance(key, str):
+                raise _unserializable(key)
+        inner, sep = newline + "  ", "{"
+        for key in sorted(obj):
+            yield f"{sep}{inner}{_quote(key)}: "
+            yield from _chunks(obj[key], inner)
+            sep = ","
+        yield newline + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner, sep = newline + "  ", "["
+        for item in obj:
+            yield sep + inner
+            yield from _chunks(item, inner)
+            sep = ","
+        yield newline + "]"
+    elif isinstance(obj, str):
+        yield _quote(obj)
+    elif obj is None or obj is True or obj is False:
+        yield "null" if obj is None else "true" if obj else "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    else:
+        raise _unserializable(obj)
 
 
 def json_chunks(obj):
-    """Deterministic JSON text in chunks, each TwinText as its string: sorted keys, fixed
-    separators, one trailing newline.  Identical inputs give identical text across runs."""
-    yield from json.JSONEncoder(sort_keys=True, indent=2, separators=(",", ": "), default=_twin_str).iterencode(obj)
+    """Deterministic JSON text in chunks, each TwinText as its string: sorted keys, two-space
+    indent, separators "," and ": ", ASCII escapes, one trailing newline.  Identical inputs
+    give identical text across runs.  Only str keys, and only dict, list, tuple, str, int,
+    bool, None and TwinText values, are JSON; any other raises TypeError."""
+    yield from _chunks(obj, "\n")
     yield "\n"

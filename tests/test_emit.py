@@ -76,21 +76,26 @@ def test_writes_are_bounded_batches_of_the_canonical_document(command, monkeypat
     assert all(len(a) + len(b) > report_mod._BATCH for a, b in zip(writes, writes[1:]))
 
 
-def test_emission_holds_one_value_as_text_at_a_time(monkeypatch):
-    report, fmt = _report(_BOUNDS_9)
+@pytest.mark.parametrize(
+    "command, size",
+    [(_BOUNDS_9, 1_308_034), ("eval --a 1/2 --b 1/2 --d0 35/2 --n 17 --format json", 563_205)],
+)
+def test_emission_holds_one_value_as_text_at_a_time(command, size, monkeypatch):
+    report, fmt = _report(command)
     values = [v for row in report.csv_rows for v in row if type(v) is TwinText]
-    largest = max(len(str(v)) for v in values)
+    longest = max(len(str(part)) for v in values for part in (v.num, v.den))
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        size = sum(_emit(report, fmt, False, monkeypatch).lengths)
+        written = sum(_emit(report, fmt, False, monkeypatch).lengths)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert size == 1_308_034
-    # the whole document as one string, or its values all as text, would be ten times the largest value
-    assert peak <= 3 * largest + 2 * report_mod._BATCH, (peak, largest)
+    assert written == size
+    # a value's parts become text one at a time, and neither "num/den" nor an escaped copy is made;
+    # the whole document as one string, or its values all as text, would be ten times the longest part
+    assert peak <= 2 * longest + 2 * report_mod._BATCH, (peak, longest)
 
 
 def test_json_reports_serialize_twin_texts_and_nothing_else():

@@ -1,7 +1,9 @@
 import contextlib
+import json
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recgrow import Params, evaluate
-from recgrow.serialize import _LEAF_BITS, decimal_str, frac_str, parse_rational
+from recgrow.serialize import _LEAF_BITS, TwinText, decimal_str, frac_str, json_chunks, parse_rational
 
 F = Fraction
 
@@ -167,3 +169,67 @@ def test_big_values_under_default_int_limit():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 True True\n4300\n"
+
+
+_TWINS = st.builds(
+    lambda num, den: TwinText(Decimal(num), Decimal(den)),
+    st.one_of(st.just(0), st.integers(-(10**400), 10**400)),
+    st.one_of(st.just(1), st.integers(1, 10**400)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin=_TWINS)
+def test_twin_length_is_the_length_of_its_text(twin):
+    assert len(twin) == len(str(twin))
+
+
+# strings with quotes, backslashes, control characters, DEL and non-ASCII, among any others
+_STRINGS = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7f \xe9\u20ac\U0001f600a~'), st.characters()))
+_LEAVES = st.one_of(
+    _STRINGS,
+    st.integers(),
+    st.integers(-(2**600), 2**600),
+    st.booleans(),
+    st.none(),
+    _TWINS,
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(_STRINGS, inner)),
+    max_leaves=20,
+)
+
+
+def _as_str(doc):
+    """The document with each TwinText as its string, for the standard library's encoder."""
+    if type(doc) is TwinText:
+        return str(doc)
+    if isinstance(doc, dict):
+        return {k: _as_str(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_as_str(v) for v in doc]
+    return doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_json_chunks_match_the_standard_encoder(doc):
+    expect = json.dumps(_as_str(doc), sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    assert "".join(json_chunks(doc)) == expect
+
+
+def test_json_chunks_keep_empty_containers_and_twin_parts_apart():
+    twin = TwinText(Decimal(-12), Decimal(5))
+    assert "".join(json_chunks({"a": {}, "b": [], "c": ()})) == '{\n  "a": {},\n  "b": [],\n  "c": []\n}\n'
+    assert list(json_chunks([twin, TwinText(Decimal(7), Decimal(1))])) == [
+        "[\n  ", '"', "-12", "/", "5", '"', ",\n  ", '"', "7", '"', "\n]", "\n"
+    ]
+
+
+@pytest.mark.parametrize(
+    "doc, name", [({"x": 1.5}, "float"), ([F(1, 2)], "Fraction"), ({1: "one"}, "int"), ({"a": [{(1,): 2}]}, "tuple")]
+)
+def test_json_chunks_refuse_other_types_and_keys(doc, name):
+    with pytest.raises(TypeError, match=f"^Object of type {name} is not JSON serializable$"):
+        "".join(json_chunks(doc))

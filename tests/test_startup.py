@@ -32,19 +32,27 @@ CASES = {
     "import recgrow.cli": (_IMPORT.format(module="recgrow.cli"), {"dataclasses", "inspect"} | SUBCOMMAND_MODULES),
     "eval": (
         _RUN_MAIN.format(argv=["eval", "--a", "1", "--b", "1", "--n", "4", "--format", "json"]),
-        {"recgrow.bounds", "recgrow.cli", "recgrow.roots"},
+        {"json", "recgrow.bounds", "recgrow.cli", "recgrow.roots"},
+    ),
+    "bounds": (
+        _RUN_MAIN.format(argv=["bounds", "--a", "1", "--b", "1", "--kmax", "3", "--lmax", "3", "--format", "json"]),
+        {"json", "recgrow.bounds", "recgrow.cli", "recgrow.roots"},
+    ),
+    "converge": (
+        _RUN_MAIN.format(argv=["converge", "--a", "1", "--b", "1", "--k", "3", "--lmax", "6", "--format", "json"]),
+        {"json", "recgrow.bounds", "recgrow.cli", "recgrow.roots"},
     ),
     "growth": (
         _RUN_MAIN.format(argv=["growth", "--a", "1", "--b", "1", "--l", "4", "--format", "json"]),
-        {"recgrow.bounds", "recgrow.cli", "recgrow.general", "recgrow.matrixrec", "recgrow.nsmodel", "recgrow.twins"},
+        {"json", "recgrow.cli"} | SUBCOMMAND_MODULES - {"recgrow.growth", "recgrow.roots"},
     ),
     "benchmark": (
         _RUN_MAIN.format(argv=["benchmark", "--a", "1", "--b", "1", "--n", "4", "--format", "json"]),
-        {"recgrow.cli"} | SUBCOMMAND_MODULES - {"recgrow.twins"},
+        {"json", "recgrow.cli"} | SUBCOMMAND_MODULES - {"recgrow.twins"},
     ),
     "ns": (
         _RUN_MAIN.format(argv=["ns", "--d", "3", "--n", "4", "--format", "json"]),
-        {"recgrow.bounds", "recgrow.cli", "recgrow.roots", "recgrow.twins"},
+        {"json", "recgrow.bounds", "recgrow.cli", "recgrow.roots", "recgrow.twins"},
     ),
 }
 
