@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import InvalidParamsError
 from .recurrence import Params, check_benchmark_regime, validate_params
-from .serialize import TwinText, frac_str, json_chunks
+from .serialize import frac_str, json_chunks
 
 SCHEMA_VERSION = 1
 
@@ -84,10 +84,8 @@ def _render_table(report: Report):
     for line in report.table_lines:
         yield line + "\n"
     if report.csv_rows:
-        # a twin's width comes from its digit counts, so a cell is text once, as its row is written,
-        # and the cells are never all text at once
-        columns = zip(report.csv_header, *report.csv_rows)
-        widths = [min(28, max(len(c) if type(c) is TwinText else len(str(c)) for c in column)) for column in columns]
+        # a cell is text twice, for the widths and as it is written, so the cells are never all text at once
+        widths = [min(28, max(len(str(c)) for c in column)) for column in zip(report.csv_header, *report.csv_rows)]
         for row in (report.csv_header, *report.csv_rows):
             yield "  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
     if report.discrepancies:

@@ -14,8 +14,8 @@ radix conversion costs M(n) log n (Brent and Zimmermann, *Modern Computer
 Arithmetic*, 2010, section 1.7).  A report holds each such value as a
 :class:`TwinText`, about 0.42 bytes per digit; :func:`json_chunks` yields the
 JSON document piece by piece, a twin's numerator and denominator as separate
-pieces, so a value's text exists once, one part at a time, while the CLI
-writes it, and neither "num/den" nor an escaped copy of it is ever built.
+pieces, so each part becomes text alone, only while the CLI writes it, and
+neither "num/den" nor an escaped copy of it is ever built.
 
 The ints printed here convert by divide and conquer: :func:`to_decimal`
 splits an int by bit position and joins the halves in :data:`EXACT`.
@@ -93,11 +93,6 @@ class TwinText:
 
     def __str__(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
-
-    def __len__(self) -> int:
-        """``len(str(self))``, from the parts' digit counts and signs, without the text."""
-        size = self.num.adjusted() + 1 + self.num.is_signed()
-        return size if self.den == 1 else size + self.den.adjusted() + 2 + self.den.is_signed()
 
 
 def _int_str(n: int) -> str:
@@ -181,11 +176,10 @@ def _chunks(obj, newline: str):
         if not obj:
             yield "{}"
             return
-        for key in obj:
-            if not isinstance(key, str):
-                raise _unserializable(key)
         inner, sep = newline + "  ", "{"
         for key in sorted(obj):
+            if not isinstance(key, str):
+                raise _unserializable(key)
             yield f"{sep}{inner}{_quote(key)}: "
             yield from _chunks(obj[key], inner)
             sep = ","

@@ -178,12 +178,6 @@ _TWINS = st.builds(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(twin=_TWINS)
-def test_twin_length_is_the_length_of_its_text(twin):
-    assert len(twin) == len(str(twin))
-
-
 # strings with quotes, backslashes, control characters, DEL and non-ASCII, among any others
 _STRINGS = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7f \xe9\u20ac\U0001f600a~'), st.characters()))
 _LEAVES = st.one_of(
