@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import re
 import sys
 from fractions import Fraction
 
@@ -31,10 +32,10 @@ EXIT_BROKEN_PIPE = 141
 #: the home module of each subcommand's handler _cmd_<name>; run imports only the one it runs, so an
 #: invocation compiles no other subcommand's handler
 _HOMES = {
-    "eval": "report",
-    "bounds": "report",
-    "converge": "report",
-    "benchmark": "report",
+    "eval": "twins",
+    "bounds": "twins",
+    "converge": "twins",
+    "benchmark": "twins",
     "growth": "growth",
     "general": "general",
     "matrix": "matrixrec",
@@ -43,6 +44,11 @@ _HOMES = {
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    # no option looks like a negative number, so -1/2 and -1e3 are values, not unknown options (argparse: -1, -.5)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with status 2 on usage problems; this CLI reserves 2
     # for invalid mathematical parameters, so usage errors must become 1
     def error(self, message):

@@ -6,11 +6,11 @@ JSON reports share the top-level shape
     {schema_version, command, params, results, discrepancies}
 
 with all big values as exact strings, and are byte-stable for a fixed
-command line.  The handler of each subcommand lives in the module it runs
-(``growth._cmd_growth``, ``general._cmd_general``, ``matrixrec._cmd_matrix``,
-``nsmodel._cmd_ns``); the four whose rows come from :mod:`recgrow.twins` live
-here.  Each invocation compiles only the handler it runs, since no bytecode
-cache may be at hand.
+command line.  No handler lives here: each subcommand's lives in the module it
+runs (``twins._cmd_eval``, ``_cmd_bounds``, ``_cmd_converge`` and
+``_cmd_benchmark``, ``growth._cmd_growth``, ``general._cmd_general``,
+``matrixrec._cmd_matrix``, ``nsmodel._cmd_ns``), so each invocation compiles
+only the handler it runs, since no bytecode cache may be at hand.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InvalidParamsError
-from .recurrence import Params, check_benchmark_regime, validate_params
+from .recurrence import Params, validate_params
 from .serialize import frac_str, json_chunks
 
 SCHEMA_VERSION = 1
@@ -159,56 +159,3 @@ def _read_document(path: str, kind: str, build):
         return build(doc)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad {kind} document: {exc}")
-
-
-# ---------------------------------------------------------------------------
-# the handlers of the twin-table subcommands
-
-
-def _cmd_eval(args) -> Report:
-    from . import twins
-
-    params = _params_from_args(args)
-    values, monotone = twins.eval_values(params, args.n, args.cap)
-    return Report(
-        command="eval",
-        params=_params_dict(params),
-        results={"n_max": args.n, "values": values, "monotone": monotone},
-        csv_header=["n", "value"],
-        csv_rows=[[n, v] for n, v in enumerate(values)],
-        table_lines=[f"monotone = {monotone}"],
-        discrepancies=_discrepancies_for(params, args.cap),
-    )
-
-
-def _cmd_bounds(args) -> Report:
-    from . import twins
-
-    params = _params_from_args(args)
-    rows = [[k, l, frac_str(q), *rest] for k, l, q, *rest in twins.bound_rows(params, args.kmax, args.lmax, args.cap)]
-    all_hold = all(r[-1] for r in rows)
-    fields = ("k", "l", "q_l", "lower", "upper", "actual", "ratio", "holds")
-    results, lines = {"k_max": args.kmax, "l_max": args.lmax, "all_hold": all_hold}, [f"all_hold = {all_hold}"]
-    return _rows_report("bounds", _params_dict(params), fields, rows, "certificates", results, lines)
-
-
-def _cmd_converge(args) -> Report:
-    from . import twins
-
-    params = _params_from_args(args)
-    if args.lmin > args.lmax:
-        raise _UsageError("converge: --lmin must not exceed --lmax")
-    rows = [list(r) for r in twins.profile_rows(params, args.k, args.lmin, args.lmax, args.cap)]
-    return _rows_report("converge", _params_dict(params), ("l", "ratio_minus_1", "gap"), rows, "rows", {"k": args.k})
-
-
-def _cmd_benchmark(args) -> Report:
-    from . import twins
-
-    params = _params_from_args(args)
-    check_benchmark_regime(params)
-    rows = [list(r) for r in twins.benchmark_rows(params, args.n, args.cap)]
-    all_dominate = all(r[-1] for r in rows)
-    fields, results = ("n", "value", "benchmark", "dominates"), {"all_dominate": all_dominate}
-    lines = [f"all_dominate = {all_dominate}"]
-    return _rows_report("benchmark", _params_dict(params), fields, rows, "rows", results, lines)

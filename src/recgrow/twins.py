@@ -1,16 +1,16 @@
-"""The values that eval, bounds, converge and benchmark print, each built once as an exact decimal.
+"""The handlers of eval, bounds, converge and benchmark, whose values are each built once as an exact decimal.
 
 A value is built only as its *decimal twin*, numerator and denominator as exact ``Decimal``
 integers in :data:`~recgrow.serialize.EXACT`, by the step ``D(n+1) = a + b*D(n)^2`` or by
 squarings (``P^(2^k)``, ``R^(2^k)``, ``Q(l)^(2^k)``, ``2^(2^(n-1))``), and the verdicts are
 decided exactly from the twins (:func:`_le`).  Each part of a twin is checked against a
 recurrence of small ints modulo the prime ``P = 2^61 - 1``, so a value one unit off or not in
-lowest terms raises :class:`~recgrow.errors.CertificateError`; the row functions return only
-checked twins, each as a :class:`~recgrow.serialize.TwinText`, so the report holds no text of its
-own.  A factor ``c`` leaves a residue as ``(x mod P*c) // c``, as no inverse of ``c`` exists when
-``P`` divides it.  A ratio ``D(k+l)/lower`` is reduced by a gcd ``g`` (:func:`twin_reduce`): each
-part times ``g`` is checked against the residues of its unreduced part, or exactly where ``P``
-divides ``g``.
+lowest terms raises :class:`~recgrow.errors.CertificateError`; each handler builds every row once,
+in the shape it is printed, of checked twins only, each as a :class:`~recgrow.serialize.TwinText`,
+so the report holds no text of its own.  A factor ``c`` leaves a residue as ``(x mod P*c) // c``,
+as no inverse of ``c`` exists when ``P`` divides it.  A ratio ``D(k+l)/lower`` is reduced by a gcd
+``g`` (:func:`twin_reduce`): each part times ``g`` is checked against the residues of its
+unreduced part, or exactly where ``P`` divides ``g``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import CertificateError
-from .recurrence import Params, check_cap, evaluate, q_factor
-from .serialize import EXACT, TwinText, to_decimal
+from .recurrence import Params, check_benchmark_regime, check_cap, evaluate, q_factor
+from .report import Report, _UsageError, _discrepancies_for, _params_dict, _params_from_args, _rows_report
+from .serialize import EXACT, TwinText, frac_str, to_decimal
 
 #: the prime of every residue check
 P = 2**61 - 1
@@ -146,25 +147,30 @@ def _ratio(b: Fraction, d: Fraction, act: tuple, lo: tuple, minus: int = 0) -> t
     return [EXACT.subtract(num, den) if minus else num, den], (x * t - minus * y * s, y * s), gp, w, exact
 
 
-def eval_values(params: Params, n: int, cap: int) -> tuple[list[str], bool]:
-    """The printed D(0..n) and whether D(j) <= D(j+1) for every j."""
-    check_cap(n, cap)
-    orbit = list(_orbit(params, n))
+def _cmd_eval(args) -> Report:
+    params = _params_from_args(args)
+    check_cap(args.n, args.cap)
+    orbit = list(_orbit(params, args.n))
     values = [_text(t, r) for t, r in orbit]
-    return values, all(_le(s[0], t[0]) for s, t in zip(orbit, orbit[1:]))
+    monotone = all(_le(s[0], t[0]) for s, t in zip(orbit, orbit[1:]))
+    results, rows = {"n_max": args.n, "values": values, "monotone": monotone}, [[n, v] for n, v in enumerate(values)]
+    lines, discrepancies = [f"monotone = {monotone}"], _discrepancies_for(params, args.cap)
+    return Report("eval", _params_dict(params), results, ["n", "value"], rows, lines, discrepancies)
 
 
-def bound_rows(params: Params, k_max: int, l_max: int, cap: int):
-    """(k, l, Q(l), lower, upper, actual, ratio, holds) of each certificate, k-major.
+def _cmd_bounds(args) -> Report:
+    """One certificate row (k, l, Q(l), lower, upper, actual, ratio, holds) per (k, l), k-major.
 
     Each row k squares the powers P^(2^(k-1)) and R^(2^(k-1)) of the row before, which is then dropped.
     """
-    check_cap(k_max + l_max, cap)
-    b, head = params.b, evaluate(params, l_max, cap)
+    params, k_max, l_max = _params_from_args(args), args.kmax, args.lmax
+    check_cap(k_max + l_max, args.cap)
+    b, head = params.b, evaluate(params, l_max, args.cap)
     orbit = list(_orbit(params, k_max + l_max))
     # the bases P = b*D(l) and R = P*Q(l), with Q(l)
     bases = {l: (b * head[l], q_factor(params, head, l)) for l in range(1, l_max + 1)}
     powers = {l: (twin_of(f), twin_of(f * q)) for l, (f, q) in bases.items()}
+    rows = []
     for k in range(1, k_max + 1):
         powers = {l: (_square(p), _square(r)) for l, (p, r) in powers.items()}
         for l, (p, r) in powers.items():
@@ -173,14 +179,22 @@ def bound_rows(params: Params, k_max: int, l_max: int, cap: int):
             rat = _ratio(b, head[l], act, lo)
             # lower <= actual is ratio >= 1, and the ratio is reduced
             holds = rat[0][0] >= rat[0][1] and _le(act[0], up[0])
-            yield k, l, q, _text(*lo), _text(*up), _text(*act), _text(*rat), holds
+            rows.append([k, l, frac_str(q), _text(*lo), _text(*up), _text(*act), _text(*rat), holds])
+    all_hold = all(r[-1] for r in rows)
+    fields = ("k", "l", "q_l", "lower", "upper", "actual", "ratio", "holds")
+    results, lines = {"k_max": k_max, "l_max": l_max, "all_hold": all_hold}, [f"all_hold = {all_hold}"]
+    return _rows_report("bounds", _params_dict(params), fields, rows, "certificates", results, lines)
 
 
-def profile_rows(params: Params, k: int, l_min: int, l_max: int, cap: int):
-    """(l, ratio - 1, Q(l)^(2^k - 1) - 1) of each convergence profile row, l = l_min..l_max."""
-    check_cap(k + l_max, cap)
-    b, head, e = params.b, evaluate(params, l_max, cap), 1 << k
-    for l, act in zip(range(l_min, l_max + 1), islice(_orbit(params, k + l_max), k + l_min, None)):
+def _cmd_converge(args) -> Report:
+    """One row (l, ratio - 1, Q(l)^(2^k - 1) - 1) per l = lmin..lmax."""
+    params, k, l_max = _params_from_args(args), args.k, args.lmax
+    if args.lmin > l_max:
+        raise _UsageError("converge: --lmin must not exceed --lmax")
+    check_cap(k + l_max, args.cap)
+    b, head, e = params.b, evaluate(params, l_max, args.cap), 1 << k
+    rows = []
+    for l, act in zip(range(args.lmin, l_max + 1), islice(_orbit(params, k + l_max), k + args.lmin, None)):
         f, q = b * head[l], q_factor(params, head, l)
         p, qk = twin_of(f), twin_of(q)
         for _ in range(k):
@@ -189,13 +203,20 @@ def profile_rows(params: Params, k: int, l_min: int, l_max: int, cap: int):
         # Q(l) is reduced, so Q^(2^k) / Q divides part by part, and x - 1 of a reduced x stays reduced
         gn, gd = (EXACT.divide_int(s, t) for s, t in zip(qk, twin_of(q)))
         qn, qd = (pow(z, e - 1, P) for z in q.as_integer_ratio())
-        yield l, _text(*rat), _text((EXACT.subtract(gn, gd), gd), (qn - qd, qd))
+        rows.append([l, _text(*rat), _text((EXACT.subtract(gn, gd), gd), (qn - qd, qd))])
+    return _rows_report("converge", _params_dict(params), ("l", "ratio_minus_1", "gap"), rows, "rows", {"k": k})
 
 
-def benchmark_rows(params: Params, n: int, cap: int):
-    """(n, D(n), 2^(2^(n-1)), D(n) >= 2^(2^(n-1))) for n = 0..n_max, with 1 as the n = 0 benchmark."""
-    check_cap(n, cap)
-    mark = (_ONE, _ONE), (1, 1)
-    for j, (t, r) in enumerate(_orbit(params, n)):
-        yield j, _text(t, r), _text(*mark), _le(mark[0], t)
+def _cmd_benchmark(args) -> Report:
+    """One row (n, D(n), 2^(2^(n-1)), D(n) >= 2^(2^(n-1))) per n = 0..n_max, with 1 as the n = 0 benchmark."""
+    params = _params_from_args(args)
+    check_benchmark_regime(params)
+    check_cap(args.n, args.cap)
+    rows, mark = [], ((_ONE, _ONE), (1, 1))
+    for j, (t, r) in enumerate(_orbit(params, args.n)):
+        rows.append([j, _text(t, r), _text(*mark), _le(mark[0], t)])
         mark = ((EXACT.multiply(mark[0][0], mark[0][0]) if j else to_decimal(2), _ONE), (pow(2, 1 << j, P), 1))
+    all_dominate = all(r[-1] for r in rows)
+    fields, results = ("n", "value", "benchmark", "dominates"), {"all_dominate": all_dominate}
+    lines = [f"all_dominate = {all_dominate}"]
+    return _rows_report("benchmark", _params_dict(params), fields, rows, "rows", results, lines)

@@ -54,6 +54,23 @@ def test_invalid_params_exit_2(capsys):
     assert "b > 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ("eval --a 1 --b -1/2 --n 2", 2, "b > 0"),
+        ("eval --a 1 --b -1e3 --n 2", 2, "b > 0"),
+        ("eval --a 1 --b 1 --d0 -3/2 --n 2", 2, "d0 > 0"),
+        ("eval --a 1 --b 1 --d0 -.5 --n 2", 2, "d0 > 0"),
+        ("growth --a 1 --b 1 --l 3 --rtol -1/2", 2, "rtol must lie in"),
+        ("eval --a 1 --b 1 --d0 -x --n 2", 1, "argument --d0: expected one argument"),
+    ],
+)
+def test_negative_rationals_are_values(argv, code, message, capsys):
+    # a negative value in every rational form reaches the checks and names the failed condition
+    assert run(argv.split()) == code
+    assert message in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["eval", "--a", "1", "--b", "1"]) == 1  # missing --n
     assert run(["eval", "--a", "1", "--b", "1", "--n", "3", "--bogus"]) == 1

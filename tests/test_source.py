@@ -93,11 +93,27 @@ def test_cli_imports_no_subcommand_module():
     assert _package_imports(ast.walk(tree)) == CLI_MODULE_LEVEL_IMPORTS
 
 
+def _handlers(path: Path) -> list[str]:
+    """Names of the subcommand handlers _cmd_<name> that a module defines."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
+
+
 def test_cli_defines_no_handler():
     # each handler lives in its subcommand's home module, so an invocation compiles only the one it runs
-    path = SOURCE / "cli.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")] == []
+    assert _handlers(SOURCE / "cli.py") == []
+
+
+def test_report_defines_no_handler():
+    # report is loaded by every invocation, so a handler there is compiled by every subcommand
+    assert _handlers(SOURCE / "report.py") == []
+
+
+def test_each_handler_lives_in_its_home_module():
+    from recgrow.cli import _HOMES
+
+    defined = {(path.stem, name) for path in sorted(SOURCE.glob("*.py")) for name in _handlers(path)}
+    assert defined == {(home, f"_cmd_{command}") for command, home in _HOMES.items()}
 
 
 def _imported_names(node) -> set[str]:

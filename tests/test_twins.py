@@ -112,6 +112,36 @@ def test_close_twins_compare_as_fractions(s, shift, step, scale, big):
     assert twins._le(t, s) is (y <= x)
 
 
+_long = st.integers(1, 10**2000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long, _long, st.integers(65, 2100), st.sampled_from([-1, 0, 1]))
+def test_near_equal_long_twins_compare_as_fractions(n, d, k, step):
+    # y = x * (10^k + step) / 10^k agrees with x in about k > 64 leading digits, so the 64-digit bracket
+    # never decides; parts of up to about 4,000 digits reach the 256- and 1024-digit brackets or the
+    # exact cross-products, and step 0 gives equal twins
+    x = F(n, d)
+    y = x * (10**k + step) / 10**k
+    s, t = twins.twin_of(x), twins.twin_of(y)
+    assert twins._le(s, t) is (x <= y)
+    assert twins._le(t, s) is (y <= x)
+
+
+@pytest.mark.parametrize("k, decided_at", [(100, 256), (500, 1024), (1500, None)])
+def test_near_equal_long_twins_reach_each_bracket(k, decided_at, monkeypatch):
+    # None: every bracket overlaps and the exact cross-products decide
+    n, d = 7**2300, 3**4100 + 1  # 1,944 and 1,957 digits, coprime
+    x, y = F(n, d), F(n * (10**k + 1), d * 10**k)
+    s, t = twins.twin_of(x), twins.twin_of(y)
+    precs, exact, context, times = [], [], twins.Context, twins._times
+    monkeypatch.setattr(twins, "Context", lambda prec, **kw: precs.append(prec) or context(prec=prec, **kw))
+    monkeypatch.setattr(twins, "_times", lambda *a: exact.append(1) or times(*a))
+    assert twins._le(s, t) is True
+    assert twins._le(t, s) is False
+    assert max(precs) == (decided_at or 1024) and bool(exact) is (decided_at is None)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_params(), st.integers(0, 10), st.integers(1, 4), st.integers(1, 4))
 @example((F(1, 4), F(1), F(1, 4)), 6, 3, 3)  # 4ab = 1 below the fixed point: parts of equal length
