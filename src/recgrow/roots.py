@@ -28,7 +28,7 @@ from .recurrence import DEFAULT_MAX_DIGITS
 
 #: Bits kept beyond the operands' own size by the candidate and the brackets.
 _GUARD_BITS = 64
-#: Bits of the first working precision of the odd-order Newton steps.
+#: Bits of the odd-order Newton seed, found by bisection.
 _SEED_BITS = 64
 
 #: Decimal digits that one pass of square roots, squarings or products may build.
@@ -133,15 +133,22 @@ def _odd_root(a: int, e: int, o: int, prec: int) -> tuple[int, int]:
     """(r, f) with r * 2^f ~ (a * 2^e)^(1/o) and r of about prec bits, for a > 0.
 
     At working precision w the root is r * 2^f with f = top - w, where
-    top = floor(log2(a * 2^e) / o), so r lies in [2^(w-1), 2^(w+1)).  Integer
-    Newton steps r <- ((o-1)*r + B / r^(o-1)) / o on B = a * 2^(e - f*o) start
-    from above, at r = 2^(w+1) for w = _SEED_BITS, so they fall toward the
-    root; then w doubles, with Newton steps at each w, the power r^(o-1)
-    rounded to w + _GUARD_BITS bits by :func:`_pow_bracket`.
+    top = floor(log2(a * 2^e) / o), so r lies in [2^(w-1), 2^(w+1)).  A
+    _SEED_BITS-bit r comes from bisection; then w doubles, with integer Newton
+    steps r <- ((o-1)*r + B / r^(o-1)) / o on B = a * 2^(e - f*o) at each w,
+    the power r^(o-1) rounded to w + _GUARD_BITS bits by :func:`_pow_bracket`.
     """
+    top = (a.bit_length() + e) // o
     w = _SEED_BITS
-    f = (a.bit_length() + e) // o - w
-    r = 1 << (w + 1)
+    f = top - w
+    r, hi = 1 << (w - 1), 1 << (w + 1)
+    while hi - r > 1:
+        mid = (r + hi) >> 1
+        p, _, ep = _pow_bracket(mid, o, 2 * w)
+        if _cmp_scaled(p, ep + f * o, a, e) <= 0:
+            r = mid
+        else:
+            hi = mid
     while True:
         while True:
             p, _, ep = _pow_bracket(r, o - 1, w + _GUARD_BITS)

@@ -153,9 +153,15 @@ def _cmd_eval(args) -> Report:
     orbit = list(_orbit(params, args.n))
     values = [_text(t, r) for t, r in orbit]
     monotone = all(_le(s[0], t[0]) for s, t in zip(orbit, orbit[1:]))
-    results, rows = {"n_max": args.n, "values": values, "monotone": monotone}, [[n, v] for n, v in enumerate(values)]
-    lines, discrepancies = [f"monotone = {monotone}"], _discrepancies_for(params, args.cap)
-    return Report("eval", _params_dict(params), results, ["n", "value"], rows, lines, discrepancies)
+    return Report(
+        command="eval",
+        params=_params_dict(params),
+        results={"n_max": args.n, "values": values, "monotone": monotone},
+        csv_header=["n", "value"],
+        csv_rows=[[n, v] for n, v in enumerate(values)],
+        table_lines=[f"monotone = {monotone}"],
+        discrepancies=_discrepancies_for(params, args.cap),
+    )
 
 
 def _cmd_bounds(args) -> Report:

@@ -295,3 +295,17 @@ def test_pow2_root_candidate_checks_the_budget_first(monkeypatch):
         ):
             with pytest.raises(ToleranceUnachievableError):
                 call()
+
+
+@pytest.mark.parametrize("o", [1001, 5 ** 8, 3 ** 13])
+def test_odd_roots_of_large_order_take_few_powers(monkeypatch, o):
+    # general documents and closed_form_lower (delta = 3/5 gives order 5^k) take
+    # roots of large odd order; Newton steps from far above the root shrink it
+    # only by about (o-1)/o each, so the seed must start near the root or the
+    # number of powers grows with o
+    calls = []
+    bracket = roots._pow_bracket
+    monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: calls.append(n) or bracket(v, n, prec))
+    lower, upper = pow_lower(F(2), F(2, o), 20), pow_upper(F(2), F(2, o), 20)
+    assert 1 < lower and lower + F(1, 10 ** 20) == upper
+    assert len(calls) <= 400
