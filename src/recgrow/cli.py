@@ -1,21 +1,20 @@
 """Command-line front end: parameter ingestion and report serialization.
 
-This module holds the parser, the exit codes and the dispatch.  Each
-subcommand's handler lives in its home module (``_HOMES``) and returns a
-:class:`~recgrow.report.Report`, which is streamed to stdout in batches of at
-most 64 KiB once every check has run.  Exit codes: 0 success, 1 usage error,
-2 invalid parameters, 3 cap or tolerance failure, 4 certificate failure (a
-fault in the library, not in the input), 141 stdout closed by its reader (as
-by SIGPIPE).
+This module holds the option table ``_COMMANDS``, the exit codes and the dispatch.  A plain
+``COMMAND --option value ...`` line is read from the table directly; ``argparse`` builds its
+parser from the same table and is imported only for ``--help`` and usage errors.  Each handler
+lives in the home module the table names and returns a :class:`~recgrow.report.Report`, which
+is streamed to stdout in batches of at most 64 KiB once every check has run.  Exit codes: 0
+success, 1 usage error, 2 invalid parameters, 3 cap or tolerance failure, 4 certificate failure
+(a fault in the library, not in the input), 141 stdout closed by its reader (as by SIGPIPE).
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import CapExceededError, CertificateError, InvalidParamsError, ToleranceUnachievableError
 from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, DEFAULT_ROOT_DIGITS, MATRIX_DEFAULT_CAP
@@ -29,121 +28,146 @@ EXIT_CAP_OR_TOLERANCE = 3
 EXIT_CERTIFICATE = 4
 EXIT_BROKEN_PIPE = 141
 
-#: the home module of each subcommand's handler _cmd_<name>; run imports only the one it runs, so an
-#: invocation compiles no other subcommand's handler
-_HOMES = {
-    "eval": "twins",
-    "bounds": "twins",
-    "converge": "twins",
-    "benchmark": "twins",
-    "growth": "growth",
-    "general": "general",
-    "matrix": "matrixrec",
-    "ns": "nsmodel",
-}
 
+def _bad_value(message: str) -> Exception:
+    # the error argparse prints as `argument --x: <message>`; only a rejected value imports argparse
+    from argparse import ArgumentTypeError
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # no option looks like a negative number, so -1/2 and -1e3 are values, not unknown options (argparse: -1, -.5)
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
-
-    # argparse exits with status 2 on usage problems; this CLI reserves 2
-    # for invalid mathematical parameters, so usage errors must become 1
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}")
+    return ArgumentTypeError(message)
 
 
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})")
+        raise _bad_value(f"not an exact rational: {text!r} ({exc})")
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+def _int_at_least(low: int):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise _bad_value(f"not an integer: {text!r}") from None
+        if value < low:
+            raise _bad_value(f"must be >= {low}, got {text}")
+        return value
+
+    return convert
 
 
-def _pos_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+_nonneg_int, _pos_int = _int_at_least(0), _int_at_least(1)
 
 
-# ---------------------------------------------------------------------------
-# parser assembly
+# the option table, read by _read and by build_parser: an option is (flag, its add_argument keywords),
+# and its dest is the flag's, as argparse derives it
+_AB = (
+    ("--a", dict(type=_rational, required=True, help="additive constant, exact rational")),
+    ("--b", dict(type=_rational, required=True, help="quadratic coefficient, exact rational")),
+    ("--d0", dict(type=_rational, default=Fraction(1), help="seed value, default 1")),
+)
 
 
-def _fmt_parent(cap: int) -> argparse.ArgumentParser:
-    # one parent per cap default: subparsers share their parents' action
-    # objects, so set_defaults on one subcommand would change them all
-    parent = _ArgumentParser(add_help=False)
-    parent.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    parent.add_argument("--cap", type=_nonneg_int, default=cap, help=f"evaluation index cap, default {cap}")
-    return parent
+def _fmt(cap: int) -> tuple:
+    return (
+        ("--format", dict(choices=("table", "json", "csv"), default="table")),
+        ("--cap", dict(type=_nonneg_int, default=cap, help=f"evaluation index cap, default {cap}")),
+    )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_AB_FMT = _AB + _fmt(DEFAULT_CAP)
+_N = ("--n", dict(type=_nonneg_int, required=True))
+_POSITIVE = dict(type=_pos_int, required=True)
+
+#: subcommand: (home module of its handler _cmd_<name>, help, options in help order); run imports only
+#: the home module of the one it runs, so an invocation compiles no other subcommand's handler
+_COMMANDS = {
+    "eval": ("twins", "exact sequence values", (
+        *_AB_FMT, ("--n", dict(type=_nonneg_int, required=True, help="largest index to compute")),
+    )),
+    "bounds": ("twins", "bilateral bound certificates", (*_AB_FMT, ("--kmax", _POSITIVE), ("--lmax", _POSITIVE))),
+    "converge": ("twins", "ratio-vs-gap convergence profile", (
+        *_AB_FMT, ("--k", _POSITIVE), ("--lmin", dict(type=_pos_int, default=1)), ("--lmax", _POSITIVE),
+    )),
+    "growth": ("growth", "certified growth-constant enclosure", (
+        *_AB_FMT,
+        ("--l", dict(type=_pos_int, required=True, help="witness index")),
+        ("--rtol", dict(type=_rational, default=Fraction(1, 10**12), help="relative tolerance, e.g. 1e-12")),
+        ("--max-digits", dict(type=_pos_int, default=DEFAULT_MAX_DIGITS)),
+        ("--loglog-n", dict(type=_pos_int, default=None, help="also report log2(ln(b*D(n)))/n here")),
+    )),
+    "benchmark": ("twins", "compare against 2^(2^(n-1))", (*_AB_FMT, _N)),
+    "general": ("general", "power-nonlinearity envelope from a JSON document", (
+        *_fmt(DEFAULT_CAP),
+        ("--file", dict(required=True, help="nonlinearity document (c1, c2, delta, power, alpha, beta, d0)")),
+        _N, ("--digits", dict(type=_pos_int, default=DEFAULT_ROOT_DIGITS)),
+    )),
+    "matrix": ("matrixrec", "matrix recursion from a JSON document", (
+        *_fmt(MATRIX_DEFAULT_CAP),
+        ("--file", dict(required=True, help="matrix document (a, b, d0 as row-major rational strings)")),
+        _N,
+    )),
+    "ns": ("nsmodel", "iteration term counts and cost projection", (
+        *_fmt(DEFAULT_CAP),
+        ("--d", dict(type=_pos_int, required=True, help="spatial dimension")),
+        ("--n", dict(type=_pos_int, required=True, help="iteration depth")),
+        ("--bytes-per-term", dict(type=_pos_int, default=16)),
+        ("--budget", dict(type=_pos_int, default=None, help="memory budget in bytes")),
+    )),
+}
+
+
+def _read(argv: list) -> SimpleNamespace | None:
+    """The namespace argparse would build, or None: argv must be COMMAND then --option value pairs, each option
+    a full name from the table given once, no value starting with "-", each converting, every required one given."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    pending = dict(_COMMANDS[argv[0]][2])
+    args = {"command": argv[0]}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        kw = pending.pop(flag, None)  # popped, so a repeated option is unknown
+        if kw is None or text.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(text)
+        except Exception:  # argparse runs the converter again, and reports or raises as it always has
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        args[flag[2:].replace("-", "_")] = value
+    if any(kw.get("required") for kw in pending.values()):
+        return None
+    args.update((flag[2:].replace("-", "_"), kw.get("default")) for flag, kw in pending.items())
+    return SimpleNamespace(**args)
+
+
+def build_parser():
+    """The argparse parser of the option table: help, usage errors and every command line _read declines."""
+    import argparse
+    import re
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        # no option looks like a negative number, so -1/2 and -1e3 are values, not unknown options (argparse: -1, -.5)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"-\.?\d")
+
+        # argparse exits 2 on usage problems; this CLI reserves 2 for invalid parameters, so usage errors become 1
+        def error(self, message):
+            raise _UsageError(f"{self.prog}: error: {message}")
+
     parser = _ArgumentParser(prog="recgrow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    fmt_parent = _fmt_parent(DEFAULT_CAP)
-
-    ab_parent = _ArgumentParser(add_help=False)
-    ab_parent.add_argument("--a", type=_rational, required=True, help="additive constant, exact rational")
-    ab_parent.add_argument("--b", type=_rational, required=True, help="quadratic coefficient, exact rational")
-    ab_parent.add_argument("--d0", type=_rational, default=Fraction(1), help="seed value, default 1")
-
-    p = sub.add_parser("eval", parents=[ab_parent, fmt_parent], help="exact sequence values")
-    p.add_argument("--n", type=_nonneg_int, required=True, help="largest index to compute")
-
-    p = sub.add_parser("bounds", parents=[ab_parent, fmt_parent], help="bilateral bound certificates")
-    p.add_argument("--kmax", type=_pos_int, required=True)
-    p.add_argument("--lmax", type=_pos_int, required=True)
-
-    p = sub.add_parser("converge", parents=[ab_parent, fmt_parent], help="ratio-vs-gap convergence profile")
-    p.add_argument("--k", type=_pos_int, required=True)
-    p.add_argument("--lmin", type=_pos_int, default=1)
-    p.add_argument("--lmax", type=_pos_int, required=True)
-
-    p = sub.add_parser("growth", parents=[ab_parent, fmt_parent], help="certified growth-constant enclosure")
-    p.add_argument("--l", type=_pos_int, required=True, help="witness index")
-    p.add_argument("--rtol", type=_rational, default=Fraction(1, 10**12), help="relative tolerance, e.g. 1e-12")
-    p.add_argument("--max-digits", type=_pos_int, default=DEFAULT_MAX_DIGITS)
-    p.add_argument("--loglog-n", type=_pos_int, default=None, help="also report log2(ln(b*D(n)))/n here")
-
-    p = sub.add_parser("benchmark", parents=[ab_parent, fmt_parent], help="compare against 2^(2^(n-1))")
-    p.add_argument("--n", type=_nonneg_int, required=True)
-
-    p = sub.add_parser("general", parents=[fmt_parent], help="power-nonlinearity envelope from a JSON document")
-    p.add_argument("--file", required=True, help="nonlinearity document (c1, c2, delta, power, alpha, beta, d0)")
-    p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--digits", type=_pos_int, default=DEFAULT_ROOT_DIGITS)
-
-    p = sub.add_parser(
-        "matrix", parents=[_fmt_parent(MATRIX_DEFAULT_CAP)], help="matrix recursion from a JSON document"
-    )
-    p.add_argument("--file", required=True, help="matrix document (a, b, d0 as row-major rational strings)")
-    p.add_argument("--n", type=_nonneg_int, required=True)
-
-    p = sub.add_parser("ns", parents=[fmt_parent], help="iteration term counts and cost projection")
-    p.add_argument("--d", type=_pos_int, required=True, help="spatial dimension")
-    p.add_argument("--n", type=_pos_int, required=True, help="iteration depth")
-    p.add_argument("--bytes-per-term", type=_pos_int, default=16)
-    p.add_argument("--budget", type=_pos_int, default=None, help="memory budget in bytes")
-
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
     return parser
 
 
 def _handler(command: str):
     """The subcommand's handler, from its home module, imported now."""
-    return getattr(importlib.import_module(f".{_HOMES[command]}", __package__), f"_cmd_{command}")
+    return getattr(importlib.import_module(f".{_COMMANDS[command][0]}", __package__), f"_cmd_{command}")
 
 
 def run(argv) -> int:
@@ -151,8 +175,9 @@ def run(argv) -> int:
 
     The error's type alone picks the exit code; any other exception is a fault and propagates.
     """
+    argv = list(argv)
     try:
-        args = build_parser().parse_args(list(argv))
+        args = _read(argv) or build_parser().parse_args(argv)
         report = _handler(args.command)(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

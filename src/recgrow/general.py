@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Union
 
 from .errors import InvalidParamsError
 from .recurrence import DEFAULT_ROOT_DIGITS, ValidationReport, as_fraction, check_cap
@@ -152,7 +151,7 @@ def envelope(pn: PowerNonlinearity, d0, n_max: int, root_digits: int = DEFAULT_R
 
 def closed_form_lower(
     pn: PowerNonlinearity, l_value, k: int, root_digits: int = DEFAULT_ROOT_DIGITS
-) -> Union[Fraction, tuple[Fraction, Fraction]]:
+) -> Fraction | tuple[Fraction, Fraction]:
     """k-fold lower envelope in closed form:
 
         C1^(((1+delta)^k - 1)/delta) * l_value^((1+delta)^k).

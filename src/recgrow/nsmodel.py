@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .errors import CertificateError
 from .recurrence import DEFAULT_CAP, Params, evaluate
@@ -71,7 +70,7 @@ class CostProjection(namedtuple("CostProjection", "model rows budget first_over_
     __slots__ = ()
 
 
-def cost_projection(model: NsModel, budget: Optional[int] = None, cap: int = DEFAULT_CAP) -> CostProjection:
+def cost_projection(model: NsModel, budget: int | None = None, cap: int = DEFAULT_CAP) -> CostProjection:
     """Rows (n, term count, bytes) for n = 1..iterations, exact arithmetic.
 
     When a byte budget is given, ``first_over_budget`` is the smallest n whose

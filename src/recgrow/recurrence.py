@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Union
 
 from .errors import CapExceededError, CertificateError, InvalidParamsError
 from .serialize import frac_str
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 #: Default cap on the largest computable index.  The bit size of D(n) grows
 #: like 2^n, so D(30) for a = b = 1 already has ~6e8 bits.

@@ -6,10 +6,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import recgrow.cli as cli
 import recgrow.growth as growth_mod
 from recgrow import DEFAULT_CAP, MATRIX_DEFAULT_CAP, Params, evaluate, q_factor, term_count
-from recgrow.cli import build_parser, run
+from recgrow.cli import _COMMANDS, _read, build_parser, run
 from recgrow.serialize import parse_rational
 
 F = Fraction
@@ -71,6 +74,15 @@ def test_negative_rationals_are_values(argv, code, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_integer_arguments_say_what_is_wrong(capsys):
+    assert run(["eval", "--a", "1", "--b", "1", "--n", "x"]) == 1
+    assert capsys.readouterr().err.endswith("argument --n: not an integer: 'x'\n")
+    assert run(["bounds", "--a", "1", "--b", "1", "--kmax", "1.5", "--lmax", "1"]) == 1
+    assert capsys.readouterr().err.endswith("argument --kmax: not an integer: '1.5'\n")
+    assert run(["ns", "--d", "3", "--n", "0"]) == 1
+    assert capsys.readouterr().err.endswith("argument --n: must be >= 1, got 0\n")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["eval", "--a", "1", "--b", "1"]) == 1  # missing --n
     assert run(["eval", "--a", "1", "--b", "1", "--n", "3", "--bogus"]) == 1
@@ -102,6 +114,7 @@ def test_cap_defaults_per_subcommand(capsys):
     for command, argv in argvs.items():
         want = MATRIX_DEFAULT_CAP if command == "matrix" else DEFAULT_CAP
         assert build_parser().parse_args(argv).cap == want, command
+        assert _read(argv).cap == want, command
     # the documented default of 30 admits n = 17 without --cap
     assert run(["eval", *ab, "--n", "17", "--format", "csv"]) == 0
     capsys.readouterr()
@@ -418,3 +431,115 @@ def test_parser_defaults_are_the_library_defaults():
     assert parser.parse_args("general --file x --n 1".split()).digits == DEFAULT_ROOT_DIGITS
     assert parser.parse_args("matrix --file x --n 1".split()).cap == MATRIX_DEFAULT_CAP
     assert parser.parse_args("eval --a 1 --b 1 --n 1".split()).cap == DEFAULT_CAP
+
+
+# ---------------------------------------------------------------------------
+# the option table's reader against argparse
+
+#: a value that converts, per converter of the table (None: --file, which takes any string)
+_GOOD = {
+    cli._rational: ["1", "3/2", "1e-3", ".5"], cli._nonneg_int: ["0", "3"], cli._pos_int: ["1", "4"], None: ["f.json"],
+}
+_ANY = ["", "x", "-1", "-1/2", "-.5", "1/0", " 2", "+2", "1_0", "2.5", "-h", "--n", "json", "f.json", "1", "0"]
+
+
+def _good(kw) -> list:
+    return list(kw.get("choices") or _GOOD[kw.get("type")])
+
+
+@st.composite
+def _argvs(draw):
+    """A command line from one subcommand's row: mostly well formed, with bad values and argparse-only forms."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    pairs = []
+    for flag, kw in _COMMANDS[command][2]:
+        if draw(st.integers(0, 9)) < (9 if kw.get("required") else 4):
+            pairs.append([flag, draw(st.sampled_from(_good(kw) if draw(st.integers(0, 7)) else _ANY))])
+    pairs = draw(st.permutations(pairs))
+    for change in draw(st.lists(st.sampled_from(["repeat", "equals", "abbrev", "help", "stray"]), max_size=2)):
+        if change == "repeat" and pairs:
+            pairs.append(list(draw(st.sampled_from(pairs))))
+        elif change == "equals" and pairs:
+            i = draw(st.integers(0, len(pairs) - 1))
+            pairs[i] = ["=".join(pairs[i])]
+        elif change == "abbrev" and pairs:
+            i = draw(st.integers(0, len(pairs) - 1))
+            pairs[i][0] = pairs[i][0][: draw(st.integers(2, max(2, len(pairs[i][0]) - 1)))]
+        elif change in ("help", "stray"):
+            token = "-h" if change == "help" else draw(st.sampled_from(["x", "--bogus", "-1", "--", "eval", "--cap"]))
+            pairs.insert(draw(st.integers(0, len(pairs))), [token])
+    return [command, *(token for pair in pairs for token in pair)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_reader_agrees_with_argparse(argv):
+    # whatever the reader accepts, argparse reads the same; the rest it leaves to argparse
+    args = _read(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def test_reader_reads_every_well_formed_line():
+    for command, (_, _, options) in _COMMANDS.items():
+        required = [t for flag, kw in options if kw.get("required") for t in (flag, _good(kw)[0])]
+        every = [t for flag, kw in options for t in (flag, _good(kw)[-1])]
+        for argv in ([command, *required], [command, *every]):
+            assert _read(argv) is not None, argv
+            assert vars(_read(argv)) == vars(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "eval --a 1 --b 1 --n 3 -h",
+        "eval --a 1 --b 1 --n=3",
+        "eval --a 1 --b 1 --n 3 --form json",
+        "eval --a 1 --b 1 --n 3 --n 4",
+        "eval --a 1 --b -1 --n 3",
+        "eval --a 1 --b 1 --n 3 x",
+        "eval --a 1 --b 1",
+        "eval --a 1 --b 1 --n x",
+        "eval --a 1 --b 1 --n 3 --format xml",
+        "eval --a 1 --b 1 --n 3 --bogus 1",
+        "--help",
+        "",
+        "evaluate --a 1",
+    ],
+)
+def test_reader_leaves_the_rest_to_argparse(line):
+    assert _read(line.split()) is None
+
+
+def test_run_is_the_same_without_the_reader(tmp_path, monkeypatch, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({
+        "c1": "1", "c2": "2", "delta": "1", "power": 2,
+        "alpha": "1", "beta": "1", "d0": "2",
+    }))
+    eye = [["1", "0"], ["0", "1"]]
+    (tmp_path / "matrix.json").write_text(json.dumps({"a": eye, "b": eye, "d0": eye}))
+    lines = [
+        "eval --a 1 --b 1 --n 6 --format json",
+        "eval --a 1/2 --b 1/2 --d0 35/2 --n 5 --format csv",
+        "bounds --a 1 --b 9 --kmax 2 --lmax 2",
+        "converge --a 1 --b 1 --k 2 --lmin 2 --lmax 3 --format json",
+        "growth --a 1 --b 1 --l 4 --loglog-n 5 --format json",
+        "benchmark --a 1 --b 1 --n 5 --cap 6",
+        f"general --file {family} --n 4 --format json",
+        f"matrix --file {tmp_path / 'matrix.json'} --n 3 --format csv",
+        "ns --d 3 --n 3 --bytes-per-term 16 --budget 1000000",
+        "eval --a 1 --b 0 --n 3",
+        "eval --a 1 --b 1 --n 8 --cap 5",
+        "converge --a 1 --b 1 --k 2 --lmin 4 --lmax 3",
+        "eval --a 1 --b 1 --n x",
+        "eval --a 1 --b 1 --n 3 --n 4 --format=json",
+        f"general --file {tmp_path / 'missing.json'} --n 3",
+        "growth --a 1 --b 1 --l 10 --max-digits 100",
+    ]
+    with_reader = []
+    for line in lines:
+        with_reader.append((run(line.split()), *capsys.readouterr()))
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
+    for line, want in zip(lines, with_reader):
+        assert (run(line.split()), *capsys.readouterr()) == want, line

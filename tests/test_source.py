@@ -110,10 +110,10 @@ def test_report_defines_no_handler():
 
 
 def test_each_handler_lives_in_its_home_module():
-    from recgrow.cli import _HOMES
+    from recgrow.cli import _COMMANDS
 
     defined = {(path.stem, name) for path in sorted(SOURCE.glob("*.py")) for name in _handlers(path)}
-    assert defined == {(home, f"_cmd_{command}") for command, home in _HOMES.items()}
+    assert defined == {(home, f"_cmd_{command}") for command, (home, *_) in _COMMANDS.items()}
 
 
 def _imported_names(node) -> set[str]:

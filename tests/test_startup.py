@@ -57,10 +57,25 @@ CASES = {
 }
 
 
+#: what no case loads: a well-formed command line is read without argparse, and gettext and locale come with it
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fresh_interpreter_loads_only_what_it_runs(case):
+    _check_loaded([], case, PARSER_MODULES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fresh_interpreter_without_site_loads_no_typing(case):
+    # site can preload typing (through a .pth file), which would hide an import of it; -S starts without site
+    _check_loaded(["-S"], case, PARSER_MODULES | {"typing"})
+
+
+def _check_loaded(flags, case, also_unwanted):
     code, unwanted = CASES[case]
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    unwanted = unwanted | also_unwanted
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     exit_code, *modules = proc.stdout.splitlines()[-1].split()
     assert exit_code == "0", proc.stderr
