@@ -15,8 +15,8 @@ coefficients, which keeps the sandwich check decidable: for rational
 C^v * z^u <= F^v, an exact rational comparison.  The envelopes take such
 powers as grid points r/10^digits certified by :func:`~recgrow.roots.pow_lower`
 and :func:`~recgrow.roots.pow_upper`, which compare (r/10^digits)^v with z^u
-without forming z^u, under the one digit budget of
-:func:`~recgrow.roots.digit_budget` (ToleranceUnachievableError past it).
+without forming z^u, under their default digit budget
+(ToleranceUnachievableError past it).
 """
 
 from __future__ import annotations

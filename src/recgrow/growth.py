@@ -23,7 +23,7 @@ from .errors import CertificateError, InvalidParamsError, ToleranceUnachievableE
 from .recurrence import (
     DEFAULT_CAP, DEFAULT_MAX_DIGITS, Params, SequenceTable, check_benchmark_regime, check_cap, evaluate, q_factor
 )
-from .roots import digit_budget, digits_for, nth_root_lower, nth_root_upper, pow_cmp
+from .roots import digits_for, nth_root_lower, nth_root_upper, pow_cmp
 from .report import Report, _params_dict, _params_from_args
 from .serialize import EXACT, decimal_str, frac_str, to_decimal
 
@@ -57,8 +57,8 @@ def growth_enclosure(
     Each endpoint carries relative error <= rtol (rtol >= 10^-30), and the
     grid is additionally refined below the bracket's own width so the
     reported interval tracks the true one instead of the rounding floor.
-    Every pass of l square roots or squarings is held to max_digits decimal
-    digits (see :func:`~recgrow.roots.digit_budget`).
+    Every root and comparison pass is held to max_digits decimal digits, each
+    refused by ToleranceUnachievableError before it starts.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -73,19 +73,18 @@ def growth_enclosure(
     q = q_factor(params, table, l)
     x_hi = x_lo * q
 
-    with digit_budget(max_digits):
-        # coarse pass only to learn the root's magnitude; never 0, since
-        # b*D(l) = ab + b^2*D(l-1)^2 > ab >= 1/4 puts the root above 1/2
-        c0 = nth_root_lower(x_lo, m, 8)
-        # grid below both the tolerance and the bracket width c*ln(Q)/m, estimated
-        # from below via ln(Q) >= (Q-1)/Q; keeps rounding from dominating the width
-        target = min(rt * c0 / 2, c0 * (q - 1) / (q * m) / 20)
-        s = digits_for(target)
-        c_lo = nth_root_lower(x_lo, m, s)
-        c_hi = nth_root_upper(x_hi, m, s)
-        # the containment contract, checked again on the returned endpoints
-        if not (pow_cmp(c_lo, m, x_lo) <= 0 and pow_cmp(c_hi, m, x_hi) >= 0):
-            raise CertificateError(f"[{frac_str(c_lo)}, {frac_str(c_hi)}] does not enclose the 2^{l}-th root bracket")
+    # coarse pass only to learn the root's magnitude; never 0, since
+    # b*D(l) = ab + b^2*D(l-1)^2 > ab >= 1/4 puts the root above 1/2
+    c0 = nth_root_lower(x_lo, m, 8, max_digits)
+    # grid below both the tolerance and the bracket width c*ln(Q)/m, estimated
+    # from below via ln(Q) >= (Q-1)/Q; keeps rounding from dominating the width
+    target = min(rt * c0 / 2, c0 * (q - 1) / (q * m) / 20)
+    s = digits_for(target)
+    c_lo = nth_root_lower(x_lo, m, s, max_digits)
+    c_hi = nth_root_upper(x_hi, m, s, max_digits)
+    # the containment contract, checked again on the returned endpoints
+    if not (pow_cmp(c_lo, m, x_lo, max_digits=max_digits) <= 0 and pow_cmp(c_hi, m, x_hi, max_digits=max_digits) >= 0):
+        raise CertificateError(f"[{frac_str(c_lo)}, {frac_str(c_hi)}] does not enclose the 2^{l}-th root bracket")
     if not Fraction(1, 10 ** s) <= rt * c_lo:
         raise CertificateError(f"grid 10^-{s} is coarser than rtol={frac_str(rt)} at c_lo={frac_str(c_lo)}")
     return GrowthEnclosure(l=l, c_lo=c_lo, c_hi=c_hi, digits=s)

@@ -24,7 +24,7 @@ DEFAULT_CAP = 30
 MATRIX_DEFAULT_CAP = 16
 
 #: Budget, in decimal digits, on what one pass of a root certification builds
-#: when no :func:`~recgrow.roots.digit_budget` block sets another; the ``--max-digits`` default.
+#: unless its call passes another ``max_digits``; the ``--max-digits`` default.
 DEFAULT_MAX_DIGITS = 2_000_000
 
 #: Grid digits of the rational powers in :func:`~recgrow.general.envelope`; the ``general --digits`` default.

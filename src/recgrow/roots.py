@@ -12,15 +12,13 @@ to exact products when they do not.  A candidate comes from a
 mantissa-exponent pair of x^m: integer square roots take the power-of-two
 part of n, and integer Newton at doubling precision the odd part.  Neither
 x^m nor a scaled radicand x^m * 10^(digits*n) is ever formed.  Each pass of
-square roots, squarings or products is checked against the digit budget of
-:func:`digit_budget` before it starts.
+square roots, squarings or products is checked against the ``max_digits``
+budget of its call before it starts (see :func:`_check_budget`).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from fractions import Fraction
 
 from .errors import ToleranceUnachievableError
@@ -31,26 +29,9 @@ _GUARD_BITS = 64
 #: Bits of the odd-order Newton seed, found by bisection.
 _SEED_BITS = 64
 
-#: Decimal digits that one pass of square roots, squarings or products may build.
-#: A context variable, so the budget reaches pow_cmp through the three-argument
-#: nth_root_lower/nth_root_upper and stays local to the block that set it.
-_MAX_DIGITS: ContextVar = ContextVar("max_digits", default=DEFAULT_MAX_DIGITS)
 
-
-@contextmanager
-def digit_budget(max_digits: int):
-    """Within the block, a root or power comparison raises
-    ToleranceUnachievableError instead of starting a pass whose square roots,
-    squarings or products, each of at most about 2*prec bits, would build more
-    than max_digits decimal digits in all (see :func:`_check_budget`)."""
-    token = _MAX_DIGITS.set(max_digits)
-    try:
-        yield
-    finally:
-        _MAX_DIGITS.reset(token)
-
-
-def _check_budget(prec: int, *powers: tuple[int, int]) -> None:
+def _check_budget(max_digits: int, prec: int, *powers: tuple[int, int]) -> None:
+    """Refuse, by ToleranceUnachievableError, a pass whose steps of about 2*prec bits build over max_digits digits."""
     # each (n, v_bits) is a power v^n by square-and-multiply of a v of at most v_bits
     # bits; a step reaching v^k builds 2*min(prec, k*v_bits) bits, 2*prec once k*v_bits >= prec
     charges = [
@@ -60,7 +41,6 @@ def _check_budget(prec: int, *powers: tuple[int, int]) -> None:
         for k in {2 * (n >> i + 1), n >> i}  # the squaring's power, and the product's if bit i is set
     ]
     need = sum(charges) * 30103 // 100000 + 1  # decimal digits of that many bits
-    max_digits = _MAX_DIGITS.get()
     if need > max_digits:
         raise ToleranceUnachievableError(
             f"{len(charges)} squarings and products at {prec}-bit precision need {need} digits, "
@@ -98,14 +78,14 @@ def _cmp_scaled(a: int, ea: int, b: int, eb: int) -> int:
     return (a > b) - (a < b)
 
 
-def pow_cmp(base: Fraction, n: int, x: Fraction, m: int = 1) -> int:
+def pow_cmp(base: Fraction, n: int, x: Fraction, m: int = 1, max_digits: int = DEFAULT_MAX_DIGITS) -> int:
     """sign(base^n - x^m) for base, x >= 0 and n, m >= 1, forming neither power.
 
     With base = p/q and x = X/Y this is the sign of p^n*Y^m - q^n*X^m.  All
     four powers are bracketed by :func:`_pow_bracket` and the brackets are
     cross-multiplied.  While they overlap the precision doubles, up to the
     size of the largest exact power, where no step rounds, so equality is
-    decided too.
+    decided too, unless a pass would build over ``max_digits`` digits.
     """
     p, q = base.numerator, base.denominator
     big_x, big_y = x.numerator, x.denominator
@@ -115,7 +95,7 @@ def pow_cmp(base: Fraction, n: int, x: Fraction, m: int = 1) -> int:
     # no step rounds once prec reaches the bit length of the largest power
     exact_prec = max(n * base_bits, m * x_bits)
     while True:
-        _check_budget(prec, (n, base_bits), (m, x_bits))
+        _check_budget(max_digits, prec, (n, base_bits), (m, x_bits))
         p_lo, p_hi, ep = _pow_bracket(p, n, prec)
         q_lo, q_hi, eq = _pow_bracket(q, n, prec)
         x_lo, x_hi, ex = _pow_bracket(big_x, m, prec)
@@ -163,7 +143,7 @@ def _odd_root(a: int, e: int, o: int, prec: int) -> tuple[int, int]:
         w, f, r = w + grow, f - grow, r << grow
 
 
-def _root_candidate(x: Fraction, n: int, digits: int, m: int) -> int:
+def _root_candidate(x: Fraction, n: int, digits: int, m: int, max_digits: int = DEFAULT_MAX_DIGITS) -> int:
     """An estimate of floor(x^(m/n) * 10^digits), within a grid step or two.
 
     From a mantissa-exponent pair a * 2^e ~ x^m, l floor square roots take
@@ -180,7 +160,7 @@ def _root_candidate(x: Fraction, n: int, digits: int, m: int) -> int:
     log2_x = num_lo.bit_length() + e_num - den_lo.bit_length() - e_den  # within 2 of log2(x^m)
     prec = max(0, log2_x // n + digits * 10 // 3) + _GUARD_BITS
     # the root steps work on 2*prec-bit integers whatever the size of x^m
-    _check_budget(prec, (n, prec), (m, max(num.bit_length(), den.bit_length())))
+    _check_budget(max_digits, prec, (n, prec), (m, max(num.bit_length(), den.bit_length())))
     num, _, e_num = _pow_bracket(num, m, 2 * prec)
     den, _, e_den = _pow_bracket(den, m, 2 * prec)
     shift = 2 * prec - num.bit_length() + den.bit_length()
@@ -198,7 +178,7 @@ def _root_candidate(x: Fraction, n: int, digits: int, m: int) -> int:
     return r << e if e >= 0 else r >> -e
 
 
-def _grid_bound(x: Fraction, n: int, digits: int, m: int, upper: bool) -> Fraction:
+def _grid_bound(x: Fraction, n: int, digits: int, m: int, upper: bool, max_digits: int) -> Fraction:
     """The largest grid point r/10^digits with (r/10^digits)^n <= x^m, or with
     ``upper`` the smallest with >=, by +-1 steps from the candidate."""
     if x < 0:
@@ -209,9 +189,9 @@ def _grid_bound(x: Fraction, n: int, digits: int, m: int, upper: bool) -> Fracti
     side = 1 if upper else -1
 
     def holds(r: int) -> bool:
-        return r >= 0 and side * pow_cmp(Fraction(r, scale), n, x, m) >= 0
+        return r >= 0 and side * pow_cmp(Fraction(r, scale), n, x, m, max_digits) >= 0
 
-    r = _root_candidate(x, n, digits, m) + upper
+    r = _root_candidate(x, n, digits, m, max_digits) + upper
     while not holds(r):
         r += side
     while holds(r - side):
@@ -219,23 +199,23 @@ def _grid_bound(x: Fraction, n: int, digits: int, m: int, upper: bool) -> Fracti
     return Fraction(r, scale)
 
 
-def nth_root_lower(x: Fraction, n: int, digits: int) -> Fraction:
+def nth_root_lower(x: Fraction, n: int, digits: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Fraction:
     """Largest grid point r/10^digits with (r/10^digits)^n <= x.
 
     The true root lies in [result, result + 10^-digits).
     """
-    return _grid_bound(x, n, digits, 1, False)
+    return _grid_bound(x, n, digits, 1, False, max_digits)
 
 
-def nth_root_upper(x: Fraction, n: int, digits: int) -> Fraction:
+def nth_root_upper(x: Fraction, n: int, digits: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Fraction:
     """Smallest grid point t/10^digits with (t/10^digits)^n >= x.
 
     The true root lies in (result - 10^-digits, result].
     """
-    return _grid_bound(x, n, digits, 1, True)
+    return _grid_bound(x, n, digits, 1, True, max_digits)
 
 
-def pow_lower(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
+def pow_lower(x: Fraction, exponent: Fraction, digits: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Fraction:
     """Certified lower bound for x^exponent, x >= 0, exponent >= 0.
 
     Exact (not rounded) when the exponent is an integer; otherwise the
@@ -246,16 +226,16 @@ def pow_lower(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
         raise ValueError("negative exponents not supported")
     if exponent.denominator == 1:
         return x ** int(exponent)
-    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, False)
+    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, False, max_digits)
 
 
-def pow_upper(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
+def pow_upper(x: Fraction, exponent: Fraction, digits: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Fraction:
     """Certified upper bound for x^exponent; exact for integer exponents."""
     if exponent < 0:
         raise ValueError("negative exponents not supported")
     if exponent.denominator == 1:
         return x ** int(exponent)
-    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, True)
+    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, True, max_digits)
 
 
 def digits_for(target: Fraction) -> int:

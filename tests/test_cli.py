@@ -92,6 +92,13 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_converge_lmin_over_lmax_exits_1(capsys):
+    assert run(["converge", "--a", "1", "--b", "1", "--k", "2", "--lmin", "3", "--lmax", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "converge: --lmin must not exceed --lmax" in captured.err
+
+
 def test_cap_exceeded_exit_3(capsys):
     assert run(["eval", "--a", "1", "--b", "1", "--n", "8", "--cap", "5"]) == 3
     capsys.readouterr()
@@ -288,7 +295,9 @@ def test_help_exits_zero(capsys):
 def test_certificate_failure_exit_4(capsys, monkeypatch):
     # a c_hi one grid step low breaks the enclosure: a library fault, not bad input
     upper = growth_mod.nth_root_upper
-    monkeypatch.setattr(growth_mod, "nth_root_upper", lambda x, n, digits: upper(x, n, digits) - F(1, 10**digits))
+    monkeypatch.setattr(
+        growth_mod, "nth_root_upper", lambda x, n, digits, max_digits: upper(x, n, digits, max_digits) - F(1, 10**digits)
+    )
     assert run(["growth", "--a", "1", "--b", "1", "--l", "3"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -543,3 +552,31 @@ def test_run_is_the_same_without_the_reader(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_read", lambda argv: None)
     for line, want in zip(lines, with_reader):
         assert (run(line.split()), *capsys.readouterr()) == want, line
+
+
+# one line per subcommand that builds Decimal values, with big and rational values in each format
+_CONTEXT_LINES = [
+    "eval --a 1/2 --b 1/2 --d0 35/2 --n 12 --format json",
+    "bounds --a 3/7 --b 5/3 --d0 11/5 --kmax 3 --lmax 3 --format csv",
+    "converge --a 1 --b 1 --k 4 --lmax 4",
+    "benchmark --a 2 --b 3 --d0 7/2 --n 9 --format json",
+    "growth --a 1 --b 1 --l 6 --loglog-n 9 --format json",
+    "general --file {family} --n 6 --format csv",
+    "ns --d 3 --n 4 --format json",
+]
+
+
+@pytest.mark.parametrize("line", _CONTEXT_LINES)
+def test_output_ignores_the_thread_decimal_context(line, tmp_path, capsys):
+    # every Decimal operation names its own context: under a current context of 5 digits that rounds up,
+    # with tight exponents and traps on any rounding, a reliance on it would change or stop the output
+    family = tmp_path / "family.json"
+    doc = {"c1": "1", "c2": str(10**50), "delta": "1/2", "power": 2, "alpha": "1", "beta": "1", "d0": "2"}
+    family.write_text(json.dumps(doc))
+    argv = line.format(family=family).split()
+    plain = (run(argv), *capsys.readouterr())
+    strict = decimal.Context(prec=5, rounding=decimal.ROUND_UP, Emax=9, Emin=-9)
+    strict.traps[decimal.Inexact] = strict.traps[decimal.Rounded] = True
+    with decimal.localcontext(strict):
+        assert (run(argv), *capsys.readouterr()) == plain
+    assert plain[0] == 0, plain[2]

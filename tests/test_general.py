@@ -17,7 +17,6 @@ from recgrow import (
     lower_bound,
     verify_sandwich,
 )
-from recgrow.roots import digit_budget
 
 F = Fraction
 
@@ -143,14 +142,11 @@ def test_closed_form_noninteger_delta_returns_bracket():
 
 
 def test_noninteger_powers_share_the_digit_budget():
-    # roots' one budget covers general too: its default applies outside any
-    # digit_budget block, and a pass over it is refused before it is built
+    # roots' one budget covers general too: its default applies, and a pass
+    # over it is refused before it is built
     pn = _pn(2, 3, F(3, 5))
     with pytest.raises(ToleranceUnachievableError, match="over the 2000000-digit budget"):
         closed_form_lower(pn, 2, 3, root_digits=10 ** 6)
-    with digit_budget(100):
-        with pytest.raises(ToleranceUnachievableError, match="over the 100-digit budget"):
-            envelope(pn, 2, 2)
 
 
 def test_per_step_coefficient_tables():

@@ -291,7 +291,7 @@ from recgrow import CertificateError, Params
 
 assert not __debug__
 upper = growth.nth_root_upper
-growth.nth_root_upper = lambda x, n, digits: upper(x, n, digits) - Fraction(1, 10 ** digits)
+growth.nth_root_upper = lambda x, n, digits, max_digits: upper(x, n, digits, max_digits) - Fraction(1, 10 ** digits)
 try:
     growth.growth_enclosure(Params(1, 1), 3, "1e-9")
 except CertificateError:

@@ -244,7 +244,9 @@ def test_pow2_exact_hits_are_decided_exactly(l):
 def test_pow2_roots_recover_from_a_bad_candidate(monkeypatch, offset):
     candidate = roots._root_candidate
     monkeypatch.setattr(
-        roots, "_root_candidate", lambda x, n, digits, m=1: max(0, candidate(x, n, digits, m) + offset)
+        roots,
+        "_root_candidate",
+        lambda x, n, digits, m, max_digits: max(0, candidate(x, n, digits, m, max_digits) + offset),
     )
     rng = random.Random(7)
     for _ in range(40):
@@ -267,13 +269,11 @@ def test_pow2_cmp_doubling_stops_at_the_digit_budget(monkeypatch):
     precs = []
     bracket = roots._pow_bracket
     monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: precs.append(prec) or bracket(v, n, prec))
-    with roots.digit_budget(2000):
-        with pytest.raises(ToleranceUnachievableError, match="over the 2000-digit budget"):
-            pow_cmp(base, 2 ** l, x)
+    with pytest.raises(ToleranceUnachievableError, match="over the 2000-digit budget"):
+        pow_cmp(base, 2 ** l, x, max_digits=2000)
     assert len(set(precs)) > 1 and max(2 * l * p for p in precs) * 30103 // 100000 + 1 <= 2000
-    with roots.digit_budget(10 ** 6):
-        assert pow_cmp(base, 2 ** l, x) == 0
-    assert pow_cmp(base, 2 ** l, x) == 0  # the default budget outside the block
+    assert pow_cmp(base, 2 ** l, x, max_digits=10 ** 6) == 0
+    assert pow_cmp(base, 2 ** l, x) == 0  # the default budget
 
 
 def test_pow2_root_candidate_checks_the_budget_first(monkeypatch):
@@ -287,14 +287,13 @@ def test_pow2_root_candidate_checks_the_budget_first(monkeypatch):
 
     monkeypatch.setattr(roots, "_pow_bracket", guarded_bracket)
     monkeypatch.setattr(roots.math, "isqrt", lambda m: pytest.fail("square root taken over budget"))
-    with roots.digit_budget(100):
-        for call in (
-            lambda: nth_root_lower(F(2), 2 ** 10, 50),
-            lambda: nth_root_upper(F(2), 3 * 2 ** 10, 50),
-            lambda: pow_lower(F(3), F(1001, 3), 50),
-        ):
-            with pytest.raises(ToleranceUnachievableError):
-                call()
+    for call in (
+        lambda: nth_root_lower(F(2), 2 ** 10, 50, max_digits=100),
+        lambda: nth_root_upper(F(2), 3 * 2 ** 10, 50, max_digits=100),
+        lambda: pow_lower(F(3), F(1001, 3), 50, max_digits=100),
+    ):
+        with pytest.raises(ToleranceUnachievableError):
+            call()
 
 
 @pytest.mark.parametrize("o", [1001, 5 ** 8, 3 ** 13])
