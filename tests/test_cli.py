@@ -562,7 +562,7 @@ _CONTEXT_LINES = [
     "benchmark --a 2 --b 3 --d0 7/2 --n 9 --format json",
     "growth --a 1 --b 1 --l 6 --loglog-n 9 --format json",
     "general --file {family} --n 6 --format csv",
-    "ns --d 3 --n 4 --format json",
+    "ns --d 3 --n 12 --format json",
 ]
 
 
