@@ -15,7 +15,7 @@ coefficients, which keeps the sandwich check decidable: for rational
 C^v * z^u <= F^v, an exact rational comparison.  The envelopes take such
 powers as grid points r/10^digits certified by :func:`~recgrow.roots.pow_lower`
 and :func:`~recgrow.roots.pow_upper`, which compare (r/10^digits)^v with z^u
-without forming z^u, under their default digit budget
+without forming z^u, under the default digit budget
 (ToleranceUnachievableError past it).
 """
 

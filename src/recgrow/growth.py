@@ -126,7 +126,7 @@ def _ln(m: int, e: int, prec: int) -> tuple[int, int]:
     rounded binary value unless ln lies within about 10^-40 ulp of a midpoint.
     """
     x = to_decimal(m << e) if e >= 0 else EXACT.scaleb(to_decimal(m * 5 ** -e), e)
-    num, den = decimal.Context(prec=prec * 30103 // 100000 + 41).ln(x).as_integer_ratio()
+    num, den = decimal.Context(prec=prec * 30103 // 100000 + 41, traps=[]).ln(x).as_integer_ratio()
     return _round(num, den, prec)
 
 

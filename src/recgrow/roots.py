@@ -143,7 +143,7 @@ def _odd_root(a: int, e: int, o: int, prec: int) -> tuple[int, int]:
         w, f, r = w + grow, f - grow, r << grow
 
 
-def _root_candidate(x: Fraction, n: int, digits: int, m: int, max_digits: int = DEFAULT_MAX_DIGITS) -> int:
+def _root_candidate(x: Fraction, n: int, digits: int, m: int, max_digits: int) -> int:
     """An estimate of floor(x^(m/n) * 10^digits), within a grid step or two.
 
     From a mantissa-exponent pair a * 2^e ~ x^m, l floor square roots take
@@ -215,7 +215,7 @@ def nth_root_upper(x: Fraction, n: int, digits: int, max_digits: int = DEFAULT_M
     return _grid_bound(x, n, digits, 1, True, max_digits)
 
 
-def pow_lower(x: Fraction, exponent: Fraction, digits: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Fraction:
+def pow_lower(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
     """Certified lower bound for x^exponent, x >= 0, exponent >= 0.
 
     Exact (not rounded) when the exponent is an integer; otherwise the
@@ -226,16 +226,16 @@ def pow_lower(x: Fraction, exponent: Fraction, digits: int, max_digits: int = DE
         raise ValueError("negative exponents not supported")
     if exponent.denominator == 1:
         return x ** int(exponent)
-    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, False, max_digits)
+    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, False, DEFAULT_MAX_DIGITS)
 
 
-def pow_upper(x: Fraction, exponent: Fraction, digits: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Fraction:
+def pow_upper(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
     """Certified upper bound for x^exponent; exact for integer exponents."""
     if exponent < 0:
         raise ValueError("negative exponents not supported")
     if exponent.denominator == 1:
         return x ** int(exponent)
-    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, True, max_digits)
+    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, True, DEFAULT_MAX_DIGITS)
 
 
 def digits_for(target: Fraction) -> int:

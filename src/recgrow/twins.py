@@ -86,7 +86,7 @@ def _le(s: tuple, t: tuple) -> bool:
         return True
     prec, top = _BRACKET_DIGITS, max(sn.adjusted(), sd.adjusted(), tn.adjusted(), td.adjusted()) + 1
     while prec < top:
-        lo, hi = (Context(prec=prec, rounding=r, Emax=MAX_EMAX) for r in (ROUND_FLOOR, ROUND_CEILING))
+        lo, hi = (Context(prec=prec, rounding=r, Emax=MAX_EMAX, traps=[]) for r in (ROUND_FLOOR, ROUND_CEILING))
         if hi.multiply(hi.plus(sn), hi.plus(td)) <= lo.multiply(lo.plus(tn), lo.plus(sd)):
             return True
         if lo.multiply(lo.plus(sn), lo.plus(td)) > hi.multiply(hi.plus(tn), hi.plus(sd)):
@@ -176,7 +176,7 @@ def _cmd_bounds(args) -> Report:
     # the bases P = b*D(l) and R = P*Q(l), with Q(l)
     bases = {l: (b * head[l], q_factor(params, head, l)) for l in range(1, l_max + 1)}
     powers = {l: (twin_of(f), twin_of(f * q)) for l, (f, q) in bases.items()}
-    rows, actual = [], {}  # actual: the checked text of each orbit index k + l, shared by its rows
+    rows = []
     for k in range(1, k_max + 1):
         powers = {l: (_square(p), _square(r)) for l, (p, r) in powers.items()}
         for l, (p, r) in powers.items():
@@ -185,8 +185,7 @@ def _cmd_bounds(args) -> Report:
             rat = _ratio(b, head[l], act, lo)
             # lower <= actual is ratio >= 1, and the ratio is reduced
             holds = rat[0][0] >= rat[0][1] and _le(act[0], up[0])
-            act_text = actual[k + l] = actual.get(k + l) or _text(*act)
-            rows.append([k, l, frac_str(q), _text(*lo), _text(*up), act_text, _text(*rat), holds])
+            rows.append([k, l, frac_str(q), _text(*lo), _text(*up), _text(*act), _text(*rat), holds])
     all_hold = all(r[-1] for r in rows)
     fields = ("k", "l", "q_l", "lower", "upper", "actual", "ratio", "holds")
     results, lines = {"k_max": k_max, "l_max": l_max, "all_hold": all_hold}, [f"all_hold = {all_hold}"]

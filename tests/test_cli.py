@@ -580,3 +580,30 @@ def test_output_ignores_the_thread_decimal_context(line, tmp_path, capsys):
     with decimal.localcontext(strict):
         assert (run(argv), *capsys.readouterr()) == plain
     assert plain[0] == 0, plain[2]
+
+
+# the same strict context set as decimal.DefaultContext before recgrow is imported, so that the contexts
+# recgrow builds, at import or per call, take from it every field they do not name
+_STRICT_DEFAULT = """
+import decimal
+import sys
+
+default = decimal.DefaultContext
+default.prec, default.rounding, default.Emax, default.Emin = 5, decimal.ROUND_UP, 9, -9
+default.traps[decimal.Inexact] = default.traps[decimal.Rounded] = True
+
+import recgrow.cli as cli
+
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("line", _CONTEXT_LINES)
+def test_output_ignores_the_default_decimal_context(line, tmp_path, capsys):
+    family = tmp_path / "family.json"
+    doc = {"c1": "1", "c2": str(10**50), "delta": "1/2", "power": 2, "alpha": "1", "beta": "1", "d0": "2"}
+    family.write_text(json.dumps(doc))
+    argv = line.format(family=family).split()
+    plain = (run(argv), *capsys.readouterr())
+    proc = subprocess.run([sys.executable, "-c", _STRICT_DEFAULT, *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == plain

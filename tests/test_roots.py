@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import recgrow.roots as roots
 from recgrow import ToleranceUnachievableError
+from recgrow.recurrence import DEFAULT_MAX_DIGITS
 from recgrow.roots import digits_for, nth_root_lower, nth_root_upper, pow_cmp, pow_lower, pow_upper
 
 F = Fraction
@@ -194,7 +195,8 @@ def test_large_exponent_numerators_match_exact_radicand(x, exponent):
     m, n = exponent.numerator, exponent.denominator
     for digits in (0, 10, 30):
         lower = _exact_lower(x ** m, n, digits)
-        assert abs(roots._root_candidate(x, n, digits, m) - lower.numerator * 10 ** digits // lower.denominator) <= 2
+        candidate = roots._root_candidate(x, n, digits, m, DEFAULT_MAX_DIGITS)
+        assert abs(candidate - lower.numerator * 10 ** digits // lower.denominator) <= 2
         assert pow_lower(x, exponent, digits) == lower
         assert pow_upper(x, exponent, digits) == _exact_upper(x ** m, n, digits)
 
@@ -290,7 +292,7 @@ def test_pow2_root_candidate_checks_the_budget_first(monkeypatch):
     for call in (
         lambda: nth_root_lower(F(2), 2 ** 10, 50, max_digits=100),
         lambda: nth_root_upper(F(2), 3 * 2 ** 10, 50, max_digits=100),
-        lambda: pow_lower(F(3), F(1001, 3), 50, max_digits=100),
+        lambda: roots._grid_bound(F(3), 3, 50, 1001, False, 100),
     ):
         with pytest.raises(ToleranceUnachievableError):
             call()

@@ -231,6 +231,18 @@ def test_corrupted_twin_exits_4_under_optimize_flag(command, part):
     assert proc.stderr.startswith("recgrow: certificate failure: ")
 
 
+
+def test_bounds_checks_every_actual_twin(monkeypatch, capsys):
+    # the corruption tests fault every twin at once, so they pass whether or not D(k+l) is checked;
+    # here each orbit twin that bounds prints must itself go through _text
+    orbit, checked = [], set()
+    make_orbit, text = twins._orbit, twins._text
+    monkeypatch.setattr(twins, "_orbit", lambda params, n: (orbit.append(d) or d for d in make_orbit(params, n)))
+    monkeypatch.setattr(twins, "_text", lambda t, *rest: checked.add(id(t)) or text(t, *rest))
+    assert cli.run("bounds --a 3/7 --b 5/3 --d0 11/5 --kmax 3 --lmax 3".split()) == 0
+    capsys.readouterr()
+    assert len(orbit) == 7 and all(id(t) in checked for t, _ in orbit[2:])
+
 _RATIO_FAULTS = [
     # each ratio reduces its numerators, then its denominators; a numerator times the prime 1000003 is
     # still in lowest terms but has the wrong value.  With b = 1/P, P divides the gcd that reduces the
