@@ -566,24 +566,8 @@ _CONTEXT_LINES = [
 ]
 
 
-@pytest.mark.parametrize("line", _CONTEXT_LINES)
-def test_output_ignores_the_thread_decimal_context(line, tmp_path, capsys):
-    # every Decimal operation names its own context: under a current context of 5 digits that rounds up,
-    # with tight exponents and traps on any rounding, a reliance on it would change or stop the output
-    family = tmp_path / "family.json"
-    doc = {"c1": "1", "c2": str(10**50), "delta": "1/2", "power": 2, "alpha": "1", "beta": "1", "d0": "2"}
-    family.write_text(json.dumps(doc))
-    argv = line.format(family=family).split()
-    plain = (run(argv), *capsys.readouterr())
-    strict = decimal.Context(prec=5, rounding=decimal.ROUND_UP, Emax=9, Emin=-9)
-    strict.traps[decimal.Inexact] = strict.traps[decimal.Rounded] = True
-    with decimal.localcontext(strict):
-        assert (run(argv), *capsys.readouterr()) == plain
-    assert plain[0] == 0, plain[2]
-
-
-# the same strict context set as decimal.DefaultContext before recgrow is imported, so that the contexts
-# recgrow builds, at import or per call, take from it every field they do not name
+# the strict context of the test below, set as decimal.DefaultContext before recgrow is imported, so
+# that every context recgrow builds, at import or per call, takes from it each field it does not name
 _STRICT_DEFAULT = """
 import decimal
 import sys
@@ -599,11 +583,18 @@ sys.exit(cli.run(sys.argv[1:]))
 
 
 @pytest.mark.parametrize("line", _CONTEXT_LINES)
-def test_output_ignores_the_default_decimal_context(line, tmp_path, capsys):
+def test_output_ignores_the_thread_decimal_context(line, tmp_path, capsys):
+    # every Decimal operation names its own context: under a current context of 5 digits that rounds up,
+    # with tight exponents and traps on any rounding, a reliance on it would change or stop the output
     family = tmp_path / "family.json"
     doc = {"c1": "1", "c2": str(10**50), "delta": "1/2", "power": 2, "alpha": "1", "beta": "1", "d0": "2"}
     family.write_text(json.dumps(doc))
     argv = line.format(family=family).split()
     plain = (run(argv), *capsys.readouterr())
+    strict = decimal.Context(prec=5, rounding=decimal.ROUND_UP, Emax=9, Emin=-9)
+    strict.traps[decimal.Inexact] = strict.traps[decimal.Rounded] = True
+    with decimal.localcontext(strict):
+        assert (run(argv), *capsys.readouterr()) == plain
+    assert plain[0] == 0, plain[2]
     proc = subprocess.run([sys.executable, "-c", _STRICT_DEFAULT, *argv], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == plain
