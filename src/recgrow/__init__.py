@@ -14,9 +14,9 @@ _EXPORTS = {
     "ToleranceUnachievableError",
     "recurrence": "DEFAULT_CAP MATRIX_DEFAULT_CAP Params SequenceTable ValidationReport evaluate is_monotone "
     "q_factor validate_params",
-    "bounds": "BoundCertificate ConvergenceProfile certify convergence_profile integer_envelope lower_bound "
-    "ratio upper_bound",
-    "growth": "BenchmarkRow GrowthEnclosure compare_to_benchmark doubling_benchmark growth_enclosure log_log_index",
+    "bounds": "BenchmarkRow BoundCertificate ConvergenceProfile certify compare_to_benchmark convergence_profile "
+    "doubling_benchmark integer_envelope lower_bound ratio upper_bound",
+    "growth": "GrowthEnclosure growth_enclosure log_log_index",
     "general": "EnvelopePair PowerFamily PowerNonlinearity closed_form_lower envelope iterate_family verify_sandwich",
     "matrixrec": "MatrixParams evaluate_matrix max_row_sum scalar_envelope",
     "nsmodel": "CostProjection NsModel cost_projection published_3d_discrepancies summand_budget term_count",

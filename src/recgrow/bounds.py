@@ -8,6 +8,10 @@ so the ratio b*D(k+l) / (b*D(l))^(2^k) lies in [1, Q(l)^(2^k - 1)].  With the sm
 bases P = b*D(l) and R = P*Q(l), lower = P^(2^k)/b, upper = R^(2^k)/(b*Q(l)) and
 ratio = D(k+l)/lower: raising k squares each power, a power of a reduced fraction
 needs no gcd, and no gcd pairs two huge operands.  All exact but :func:`integer_envelope`'s floor.
+
+:func:`certify`, :func:`convergence_profile` and :func:`compare_to_benchmark` are the
+exact references of the ``bounds``, ``converge`` and ``benchmark`` subcommands: those
+print values that :mod:`recgrow.twins` builds on its own, and no CLI path loads this module.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CertificateError, NonIntegerParamsError
-from .recurrence import DEFAULT_CAP, Params, SequenceTable, evaluate, q_factor
+from .recurrence import DEFAULT_CAP, Params, SequenceTable, check_benchmark_regime, check_cap, evaluate, q_factor
 from .serialize import frac_str
 
 
@@ -122,6 +126,35 @@ def convergence_profile(params: Params, k: int, l_values, cap: int = DEFAULT_CAP
     table = evaluate(params, k + ls[-1], cap=cap)
     rows = ((l, ratio(params, table, k, l) - 1, q_factor(params, table, l) ** (2 ** k - 1) - 1) for l in ls)
     return ConvergenceProfile(k=k, rows=tuple(rows))
+
+
+def doubling_benchmark(n: int, cap: int = DEFAULT_CAP) -> int:
+    """Comparison sequence 2^(2^(n-1)) for n >= 1, with the n = 0 value
+    pinned to 1 by convention (the closed form would give sqrt(2))."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    check_cap(n, cap)
+    if n == 0:
+        return 1
+    return 2 ** (2 ** (n - 1))
+
+
+class BenchmarkRow(namedtuple("BenchmarkRow", "n value benchmark dominates")):
+    __slots__ = ()
+
+
+def compare_to_benchmark(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> list[BenchmarkRow]:
+    """Rows (n, D(n), 2^(2^(n-1)), D(n) >= benchmark) for n = 0..n_max.
+
+    Asserted regime: see :func:`~recgrow.recurrence.check_benchmark_regime`.
+    """
+    check_benchmark_regime(params)
+    table = evaluate(params, n_max, cap=cap)
+    rows = []
+    for n in range(n_max + 1):
+        mark = doubling_benchmark(n, cap=cap)
+        rows.append(BenchmarkRow(n, table[n], mark, table[n] >= mark))
+    return rows
 
 
 def integer_envelope(params: Params, table: SequenceTable, k: int, l: int) -> tuple[int, int]:

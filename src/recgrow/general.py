@@ -13,10 +13,10 @@ Families are restricted to F(n, z) = alpha(n) * z^p + beta(n) with rational
 coefficients, which keeps the sandwich check decidable: for rational
 1 + delta = u/v, the inequality C*z^(u/v) <= F is equivalent to
 C^v * z^u <= F^v, an exact rational comparison.  The envelopes take such
-powers as grid points r/10^digits certified by :func:`~recgrow.roots.pow_lower`
-and :func:`~recgrow.roots.pow_upper`, which compare (r/10^digits)^v with z^u
-without forming z^u, under the default digit budget
-(ToleranceUnachievableError past it).
+powers as grid points r/10^digits certified by :func:`pow_lower` and
+:func:`pow_upper`, which compare (r/10^digits)^v with z^u through
+:func:`~recgrow.roots.pow_cmp` without forming z^u, under the default digit
+budget (ToleranceUnachievableError past it).
 """
 
 from __future__ import annotations
@@ -25,10 +25,33 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidParamsError
-from .recurrence import DEFAULT_ROOT_DIGITS, ValidationReport, as_fraction, check_cap
+from .recurrence import DEFAULT_MAX_DIGITS, DEFAULT_ROOT_DIGITS, ValidationReport, as_fraction, check_cap
 from .report import Report, _read_document, _rows_report
-from .roots import pow_lower, pow_upper
+from .roots import _grid_bound
 from .serialize import frac_str, parse_rational
+
+
+def pow_lower(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
+    """Certified lower bound for x^exponent, x >= 0, exponent >= 0.
+
+    Exact (not rounded) when the exponent is an integer; otherwise the
+    largest grid point r/10^digits with (r/10^digits)^v <= x^u for
+    exponent = u/v.
+    """
+    if exponent < 0:
+        raise ValueError("negative exponents not supported")
+    if exponent.denominator == 1:
+        return x ** int(exponent)
+    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, False, DEFAULT_MAX_DIGITS)
+
+
+def pow_upper(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
+    """Certified upper bound for x^exponent; exact for integer exponents."""
+    if exponent < 0:
+        raise ValueError("negative exponents not supported")
+    if exponent.denominator == 1:
+        return x ** int(exponent)
+    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, True, DEFAULT_MAX_DIGITS)
 
 
 def _coeff(coeffs, n: int) -> Fraction:

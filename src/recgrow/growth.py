@@ -10,22 +10,20 @@ outward rounding, so the reported interval still provably contains C.  Each
 endpoint's 2^l-th power is compared with the bracket by
 :func:`~recgrow.roots.pow_cmp` (outward-rounded integer squarings with an
 exact fallback), so the check never forms a 2^l x digits number.  b*D(n) grows like
-C^(2^n), i.e. log2(ln(b*D(n)))/n -> 1, which :func:`log_log_index` tracks.
+C^(2^n), i.e. log2(ln(b*D(n)))/n -> 1, which :func:`log_log_index` tracks
+by the passes of :mod:`recgrow.loglog`, imported only when it runs.
 """
 
 from __future__ import annotations
 
-import decimal
 from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CertificateError, InvalidParamsError, ToleranceUnachievableError
-from .recurrence import (
-    DEFAULT_CAP, DEFAULT_MAX_DIGITS, Params, SequenceTable, check_benchmark_regime, check_cap, evaluate, q_factor
-)
-from .roots import digits_for, nth_root_lower, nth_root_upper, pow_cmp
+from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, Params, SequenceTable, check_cap, evaluate, q_factor
+from .roots import nth_root_lower, nth_root_upper, pow_cmp
 from .report import Report, _params_dict, _params_from_args
-from .serialize import EXACT, decimal_str, frac_str, to_decimal
+from .serialize import decimal_str, frac_str
 
 #: Finest relative tolerance the enclosure contract accepts.
 MIN_RTOL = Fraction(1, 10 ** 30)
@@ -43,6 +41,25 @@ class GrowthEnclosure(namedtuple("GrowthEnclosure", "l c_lo c_hi digits")):
     @property
     def width(self) -> Fraction:
         return self.c_hi - self.c_lo
+
+
+def digits_for(target: Fraction) -> int:
+    """Smallest s >= 0 with 10^-s <= target (target > 0).
+
+    Bit-length estimate first, then exact adjustment, so the answer is
+    correct even when the estimate is off by one.
+    """
+    if target <= 0:
+        raise ValueError("target must be positive")
+    if target >= 1:
+        return 0
+    inv = 1 / target
+    s = max(0, (inv.numerator.bit_length() - inv.denominator.bit_length()) * 30103 // 100000 - 1)
+    while Fraction(1, 10 ** s) > target:
+        s += 1
+    while s > 0 and Fraction(1, 10 ** (s - 1)) <= target:
+        s -= 1
+    return s
 
 
 def growth_enclosure(
@@ -90,74 +107,6 @@ def growth_enclosure(
     return GrowthEnclosure(l=l, c_lo=c_lo, c_hi=c_hi, digits=s)
 
 
-def _round(num: int, den: int, prec: int, exp: int = 0) -> tuple[int, int]:
-    """num/den * 2^exp (den > 0) rounded to prec bits, to nearest with ties to even,
-    as the pair (m, e) meaning m*2^e."""
-    if not num:
-        return 0, 0
-    a = abs(num)
-    e = a.bit_length() - den.bit_length() - prec
-    if e < 0:
-        a <<= -e
-    else:
-        den <<= e
-    # a/den now lies in [2^(prec-1), 2^(prec+1))
-    if a >= den << prec:
-        den <<= 1
-        e += 1
-    q, r = divmod(a, den)
-    if 2 * r > den or 2 * r == den and q & 1:
-        q += 1
-    return (q if num > 0 else -q), e + exp
-
-
-def _add(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple[int, int]:
-    """x + y, of pairs (m, e), rounded to prec bits."""
-    (mx, ex), (my, ey) = x, y
-    e = min(ex, ey)
-    return _round((mx << (ex - e)) + (my << (ey - e)), 1, prec, e)
-
-
-def _ln(m: int, e: int, prec: int) -> tuple[int, int]:
-    """ln(m*2^e), m > 0, rounded to prec bits.
-
-    Decimal's ln is correctly rounded (Cowlishaw, General Decimal Arithmetic);
-    with 40 guard digits, rounding it again to binary gives the correctly
-    rounded binary value unless ln lies within about 10^-40 ulp of a midpoint.
-    """
-    x = to_decimal(m << e) if e >= 0 else EXACT.scaleb(to_decimal(m * 5 ** -e), e)
-    num, den = decimal.Context(prec=prec * 30103 // 100000 + 41, traps=[]).ln(x).as_integer_ratio()
-    return _round(num, den, prec)
-
-
-def _log_log_pass(x: Fraction, n: int, prec: int) -> Fraction | None:
-    """log2(ln x) / n as mpmath computes it at mp.prec = prec, or None if ln x rounds to <= 0.
-
-    Every step is mpmath's, each rounded to nearest at prec bits: ln of an int
-    is (bits-1)*ln2 plus the log of its leading prec+1 bits rounded to a
-    mantissa in [1, 2], so huge integers never reach the transcendental code.
-    mpmath's own steps are correctly rounded too, except where a value lies
-    within about 2^-20 ulp of a midpoint (it works at prec + 20 bits), so the
-    two agree bit for bit but in such a case.
-    """
-    ln2_m, ln2_e = _ln(1, 1, prec)
-
-    def ln_int(k: int) -> tuple[int, int]:
-        shift = k.bit_length() - 1
-        drop = max(0, shift - prec)
-        mant = _round(k >> drop, 1, prec, drop - shift)
-        return _add(_round(shift * ln2_m, 1, prec, ln2_e), _ln(*mant, prec), prec)
-
-    m, e = ln_int(x.denominator)
-    m, e = _add(ln_int(x.numerator), (-m, e), prec)
-    if m <= 0:
-        return None
-    m, e = _ln(m, e, prec)
-    m, e = _round(m, ln2_m, prec, e - ln2_e)
-    m, e = _round(m, n, prec, e)
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
-
-
 def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
     """log2(ln(b*D(n))) / n with relative error <= rtol.
 
@@ -175,6 +124,8 @@ def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
     if x <= 1:
         raise InvalidParamsError(f"b*D(n) must exceed 1 for the double log, got {frac_str(x)}")
 
+    from .loglog import _log_log_pass
+
     prec = 80
     prev = _log_log_pass(x, n, prec)
     while prec <= 1 << 22:
@@ -186,37 +137,10 @@ def log_log_index(table: SequenceTable, n: int, rtol) -> Fraction:
     raise ToleranceUnachievableError(f"log-log index did not stabilize to rtol={frac_str(rt)}")
 
 
-def doubling_benchmark(n: int, cap: int = DEFAULT_CAP) -> int:
-    """Comparison sequence 2^(2^(n-1)) for n >= 1, with the n = 0 value
-    pinned to 1 by convention (the closed form would give sqrt(2))."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    check_cap(n, cap)
-    if n == 0:
-        return 1
-    return 2 ** (2 ** (n - 1))
-
-
-class BenchmarkRow(namedtuple("BenchmarkRow", "n value benchmark dominates")):
-    __slots__ = ()
-
-
-def compare_to_benchmark(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> list[BenchmarkRow]:
-    """Rows (n, D(n), 2^(2^(n-1)), D(n) >= benchmark) for n = 0..n_max.
-
-    Asserted regime: see :func:`~recgrow.recurrence.check_benchmark_regime`.
-    """
-    check_benchmark_regime(params)
-    table = evaluate(params, n_max, cap=cap)
-    rows = []
-    for n in range(n_max + 1):
-        mark = doubling_benchmark(n, cap=cap)
-        rows.append(BenchmarkRow(n, table[n], mark, table[n] >= mark))
-    return rows
-
-
 def _cmd_growth(args) -> Report:
     params = _params_from_args(args)
+    if args.loglog_n is not None:
+        check_cap(args.loglog_n, args.cap)
     enc = growth_enclosure(params, args.l, args.rtol, cap=args.cap, max_digits=args.max_digits)
     results = {
         "l": enc.l,

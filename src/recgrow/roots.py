@@ -1,7 +1,9 @@
-"""Certified n-th roots and rational powers on a decimal grid.
+"""Certified n-th roots on a decimal grid, of x or of a power x^m.
 
 The primitives here return Fractions of the form r / 10^digits that bracket
-an irrational root from one side, with the defining inequality
+an irrational root from one side (growth takes 2^l-th roots of x, and
+:mod:`recgrow.general` builds its rational powers x^(m/n) on
+:func:`_grid_bound`), with the defining inequality
 (r/10^s)^n <= x^m or >= x^m holding *exactly*.  Each bound is also within one
 grid ulp of the true root, so callers control accuracy purely through
 ``digits``.  Correctness never depends on floating point.  One comparison,
@@ -213,45 +215,3 @@ def nth_root_upper(x: Fraction, n: int, digits: int, max_digits: int = DEFAULT_M
     The true root lies in (result - 10^-digits, result].
     """
     return _grid_bound(x, n, digits, 1, True, max_digits)
-
-
-def pow_lower(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
-    """Certified lower bound for x^exponent, x >= 0, exponent >= 0.
-
-    Exact (not rounded) when the exponent is an integer; otherwise the
-    largest grid point r/10^digits with (r/10^digits)^v <= x^u for
-    exponent = u/v.
-    """
-    if exponent < 0:
-        raise ValueError("negative exponents not supported")
-    if exponent.denominator == 1:
-        return x ** int(exponent)
-    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, False, DEFAULT_MAX_DIGITS)
-
-
-def pow_upper(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
-    """Certified upper bound for x^exponent; exact for integer exponents."""
-    if exponent < 0:
-        raise ValueError("negative exponents not supported")
-    if exponent.denominator == 1:
-        return x ** int(exponent)
-    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, True, DEFAULT_MAX_DIGITS)
-
-
-def digits_for(target: Fraction) -> int:
-    """Smallest s >= 0 with 10^-s <= target (target > 0).
-
-    Bit-length estimate first, then exact adjustment, so the answer is
-    correct even when the estimate is off by one.
-    """
-    if target <= 0:
-        raise ValueError("target must be positive")
-    if target >= 1:
-        return 0
-    inv = 1 / target
-    s = max(0, (inv.numerator.bit_length() - inv.denominator.bit_length()) * 30103 // 100000 - 1)
-    while Fraction(1, 10 ** s) > target:
-        s += 1
-    while s > 0 and Fraction(1, 10 ** (s - 1)) <= target:
-        s -= 1
-    return s

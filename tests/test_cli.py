@@ -132,6 +132,14 @@ def test_tolerance_budget_exit_3(capsys):
     capsys.readouterr()
 
 
+def test_loglog_cap_is_checked_before_the_enclosure(monkeypatch, capsys):
+    monkeypatch.setattr(growth_mod, "growth_enclosure", lambda *a, **k: pytest.fail("enclosure computed"))
+    assert run(["growth", "--a", "1", "--b", "1", "--l", "16", "--loglog-n", "31"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "recgrow: n_max=31 exceeds cap=30; term sizes grow like 2^n bits\n"
+
+
 def test_growth_json(capsys):
     doc = _json_out(
         capsys,

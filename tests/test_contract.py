@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 import recgrow
-from recgrow.bounds import BoundCertificate, ConvergenceProfile
+from recgrow.bounds import BenchmarkRow, BoundCertificate, ConvergenceProfile
 from recgrow.report import Report
 from recgrow.errors import CertificateError
 from recgrow.general import EnvelopePair, PowerFamily, PowerNonlinearity
-from recgrow.growth import BenchmarkRow, GrowthEnclosure
+from recgrow.growth import GrowthEnclosure
 from recgrow.matrixrec import MatrixParams
 from recgrow.nsmodel import CostProjection, CostRow, DiscrepancyRow, NsModel
 from recgrow.recurrence import Params, SequenceTable, ValidationReport
@@ -25,9 +25,9 @@ HOMES = {
     "errors": "CapExceededError CertificateError InvalidParamsError NonIntegerParamsError RecgrowError "
     "ToleranceUnachievableError",
     "recurrence": "DEFAULT_CAP Params SequenceTable ValidationReport evaluate is_monotone q_factor validate_params",
-    "bounds": "BoundCertificate ConvergenceProfile certify convergence_profile integer_envelope lower_bound "
-    "ratio upper_bound",
-    "growth": "BenchmarkRow GrowthEnclosure compare_to_benchmark doubling_benchmark growth_enclosure log_log_index",
+    "bounds": "BenchmarkRow BoundCertificate ConvergenceProfile certify compare_to_benchmark convergence_profile "
+    "doubling_benchmark integer_envelope lower_bound ratio upper_bound",
+    "growth": "GrowthEnclosure growth_enclosure log_log_index",
     "general": "EnvelopePair PowerFamily PowerNonlinearity closed_form_lower envelope iterate_family verify_sandwich",
     "matrixrec": "MATRIX_DEFAULT_CAP MatrixParams evaluate_matrix max_row_sum scalar_envelope",
     "nsmodel": "CostProjection NsModel cost_projection published_3d_discrepancies summand_budget term_count",

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import recgrow.roots as roots
 from recgrow import ToleranceUnachievableError
 from recgrow.recurrence import DEFAULT_MAX_DIGITS
-from recgrow.roots import digits_for, nth_root_lower, nth_root_upper, pow_cmp, pow_lower, pow_upper
+from recgrow.general import pow_lower, pow_upper
+from recgrow.growth import digits_for
+from recgrow.roots import nth_root_lower, nth_root_upper, pow_cmp
 
 F = Fraction
 

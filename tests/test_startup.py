@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: each subcommand imports only the modules it runs."""
 
+import json
 import subprocess
 import sys
 
@@ -20,7 +21,14 @@ print(code, *sorted(sys.modules))
 _IMPORT = "import sys, {module}; print(0, *sorted(sys.modules))"
 
 SUBCOMMAND_MODULES = {
-    f"recgrow.{name}" for name in ("bounds", "growth", "general", "matrixrec", "nsmodel", "roots", "twins")
+    f"recgrow.{name}" for name in ("bounds", "growth", "general", "loglog", "matrixrec", "nsmodel", "roots", "twins")
+}
+
+#: the input documents of the general and matrix cases, written to each case's working directory; the
+#: non-integer delta makes general take rational powers through the roots module
+DOCUMENTS = {
+    "family.json": {"c1": "1", "c2": str(10**50), "delta": "1/2", "power": 2, "alpha": "1", "beta": "1", "d0": "2"},
+    "matrix.json": {"a": [["1", "0"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]], "d0": [["1", "0"], ["0", "1"]]},
 }
 
 CASES = {
@@ -47,6 +55,18 @@ CASES = {
         # the digit budget is an argument of the root calls, not a context variable
         {"contextvars", "json", "recgrow.cli"} | SUBCOMMAND_MODULES - {"recgrow.growth", "recgrow.roots"},
     ),
+    "growth --loglog-n": (
+        _RUN_MAIN.format(argv=["growth", "--a", "1", "--b", "1", "--l", "4", "--loglog-n", "5", "--format", "json"]),
+        {"contextvars", "json", "recgrow.cli"} | SUBCOMMAND_MODULES - {"recgrow.growth", "recgrow.loglog", "recgrow.roots"},
+    ),
+    "general": (
+        _RUN_MAIN.format(argv=["general", "--file", "family.json", "--n", "3", "--format", "json"]),
+        {"recgrow.bounds", "recgrow.cli", "recgrow.growth", "recgrow.loglog", "recgrow.twins"},
+    ),
+    "matrix": (
+        _RUN_MAIN.format(argv=["matrix", "--file", "matrix.json", "--n", "3", "--format", "json"]),
+        {"recgrow.bounds", "recgrow.cli", "recgrow.growth", "recgrow.loglog", "recgrow.roots", "recgrow.twins"},
+    ),
     "benchmark": (
         _RUN_MAIN.format(argv=["benchmark", "--a", "1", "--b", "1", "--n", "4", "--format", "json"]),
         {"json", "recgrow.cli"} | SUBCOMMAND_MODULES - {"recgrow.twins"},
@@ -63,20 +83,22 @@ PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_fresh_interpreter_loads_only_what_it_runs(case):
-    _check_loaded([], case, PARSER_MODULES)
+def test_fresh_interpreter_loads_only_what_it_runs(case, tmp_path):
+    _check_loaded([], case, PARSER_MODULES, tmp_path)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_fresh_interpreter_without_site_loads_no_typing(case):
+def test_fresh_interpreter_without_site_loads_no_typing(case, tmp_path):
     # site can preload typing (through a .pth file), which would hide an import of it; -S starts without site
-    _check_loaded(["-S"], case, PARSER_MODULES | {"typing"})
+    _check_loaded(["-S"], case, PARSER_MODULES | {"typing"}, tmp_path)
 
 
-def _check_loaded(flags, case, also_unwanted):
+def _check_loaded(flags, case, also_unwanted, cwd):
     code, unwanted = CASES[case]
     unwanted = unwanted | also_unwanted
-    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
+    for name, doc in DOCUMENTS.items():
+        (cwd / name).write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     exit_code, *modules = proc.stdout.splitlines()[-1].split()
     assert exit_code == "0", proc.stderr
