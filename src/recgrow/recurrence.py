@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapExceededError, CertificateError, InvalidParamsError
-from .serialize import frac_str
+from .serialize import frac_str, parse_rational
 
 RationalLike = Fraction | int | str
 
@@ -35,7 +35,7 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, "p/q" / decimal strings, or Fractions to an exact Fraction."""
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass int, str or Fraction")
-    return Fraction(value)
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 class Params(namedtuple("Params", "a b d0")):

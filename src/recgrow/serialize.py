@@ -117,12 +117,12 @@ def frac_str(x: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact inverse of :func:`frac_str`; accepts every string Fraction does, and only strings."""
+    """Exact inverse of :func:`frac_str`; accepts the strings Fraction does, at any length, and only strings."""
     if not isinstance(text, str):
         raise TypeError(f"expected a rational string, got {type(text).__name__}")
     match = _RATIONAL.fullmatch(text.strip())
     if match is None:
-        return Fraction(text)  # raises Fraction's own error
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     sign, whole, den, frac, exp = (g and g.replace("_", "") for g in match.groups())
     powers = {}
     if den is not None:

@@ -2,15 +2,15 @@
 
 A value is built only as its *decimal twin*, numerator and denominator as exact ``Decimal``
 integers in :data:`~recgrow.serialize.EXACT`, by the step ``D(n+1) = a + b*D(n)^2`` or by
-squarings (``P^(2^k)``, ``R^(2^k)``, ``Q(l)^(2^k)``, ``2^(2^(n-1))``), and the verdicts are
-decided exactly from the twins (:func:`_le`).  Each part of a twin is checked against a
-recurrence of small ints modulo the prime ``P = 2^61 - 1``, so a value one unit off or not in
-lowest terms raises :class:`~recgrow.errors.CertificateError`; each handler builds every row once,
-in the shape it is printed, of checked twins only, each as a :class:`~recgrow.serialize.TwinText`,
-so the report holds no text of its own.  A factor ``c`` leaves a residue as ``(x mod P*c) // c``,
-as no inverse of ``c`` exists when ``P`` divides it.  A ratio ``D(k+l)/lower`` is reduced by a gcd
-``g`` (:func:`twin_reduce`): each part times ``g`` is checked against the residues of its
-unreduced part, or exactly where ``P`` divides ``g``.
+squarings (``P^(2^k)``, ``R^(2^k)``, ``Q(l)^(2^k)``, ``2^(2^(n-1))``).  Every printed twin passes
+one gate, :func:`_text`, which checks its parts against a recurrence of small ints modulo the prime
+``P = 2^61 - 1``, so a value one unit off or not in lowest terms raises :class:`~recgrow.errors.CertificateError`.
+The gate returns a :class:`~recgrow.serialize.TwinText`; each handler builds its rows of these alone,
+and the verdicts compare only them, exactly (:func:`_le`).  A factor ``c`` that the orbit's lowest terms
+divide out leaves a residue as ``(x mod P*c) // c``, as no inverse of ``c`` exists when ``P``
+divides it.  A ratio ``D(k+l)/lower`` is reduced by a gcd ``g`` (:func:`twin_reduce`), and its parts
+are checked against the unreduced residues times the inverse of ``g`` modulo ``P``, or where ``P``
+divides ``g``, times ``g`` exactly against the unreduced parts (:func:`_ratio`).
 """
 
 from __future__ import annotations
@@ -58,19 +58,19 @@ def _times(x: Decimal, c) -> Decimal:
     return x if c == 1 else EXACT.multiply(x, c)
 
 
-def _text(t: tuple, r: tuple, gp: int = 1, w: int = 1, exact=None) -> TwinText:
-    """The twin t = (num, den) as it prints, once num*gp = x and den*gp = y modulo P for the residues
-    r = (x, y) (where P divides gp, once exact(t) holds) and num and den share no prime of w."""
+def _text(t: tuple, r: tuple, w: int = 1) -> TwinText:
+    """The twin t = (num, den) as it prints, once num = x and den = y modulo P for the residues r = (x, y),
+    num and den share no prime of w, and both are integers of exponent 0."""
     (num, den), (x, y) = t, r
     rn, rd = (int(EXACT.remainder(v, to_decimal(P * w))) for v in t)
-    ok = (rn * gp - x) % P == (rd * gp - y) % P == 0 if gp % P else exact(t)
-    if not (ok and math.gcd(w, rn, rd) == 1 and num.same_quantum(_ONE) and den.same_quantum(_ONE)):
+    ok = (rn - x) % P == (rd - y) % P == 0 and math.gcd(w, rn, rd) == 1
+    if not (ok and num.same_quantum(_ONE) and den.same_quantum(_ONE)):
         raise CertificateError(f"a {num.adjusted() + 1}-digit decimal twin fails its residue check")
     return TwinText(num, den)
 
 
-def _le(s: tuple, t: tuple) -> bool:
-    """s <= t for twins of positive values.
+def _le(s: TwinText, t: TwinText) -> bool:
+    """s <= t for checked twins of positive values.
 
     num/den lies in [10^(e-1), 10^(e+1)) for e = adjusted(num) - adjusted(den), so digit counts
     decide most pairs, and twins with equal parts are equal.  Else the cross-products s_n*t_d
@@ -78,7 +78,7 @@ def _le(s: tuple, t: tuple) -> bool:
     fourfold while the brackets overlap; once prec reaches the longest operand, the exact
     cross-products decide.
     """
-    (sn, sd), (tn, td) = s, t
+    sn, sd, tn, td = s.num, s.den, t.num, t.den
     es, et = sn.adjusted() - sd.adjusted(), tn.adjusted() - td.adjusted()
     if abs(es - et) >= 2:
         return es < et
@@ -129,30 +129,31 @@ def _power_over(t: tuple, f: Fraction, g: Fraction, k: int) -> tuple:
     return twin, (pow(fn, e, P * cn) // cn * (gd // cd), pow(fd, e, P * cd) // cd * (gn // cn))
 
 
-def _ratio(b: Fraction, d: Fraction, act: tuple, lo: tuple, minus: int = 0) -> tuple:
-    """The arguments of _text for act / lo - minus, reduced as bounds reduces D(k+l) / lower: the
-    reduced parts times g are act_n*lo_d and act_d*lo_n, and a prime that these share divides w."""
+def _ratio(b: Fraction, d: Fraction, act: tuple, lo: tuple, minus: int = 0) -> TwinText:
+    """The checked twin of act / lo - minus, reduced by g as bounds reduces D(k+l) / lower: the reduced
+    parts times g are act_n*lo_d and act_d*lo_n, and each prime of g divides b_n*d_n or b_d*d_d."""
     ((an, ad), (x, y)), ((ln, ld), (s, t)) = act, lo
-    xn, yn, gn = twin_reduce(an, ln, b.numerator * d.numerator)
-    xd, yd, gd = twin_reduce(ad, ld, b.denominator * d.denominator)
-
-    def exact(twin: list) -> bool:
-        # P divides g, so the residues are 0 modulo P: check act and lo part by part, then the ratio exactly
-        _text(*act), _text(*lo)
-        p, q = _times(an, ld), _times(ad, ln)
-        return [EXACT.multiply(v, g) for v in twin] == [EXACT.subtract(p, q) if minus else p, q]
-
+    wn, wd = b.numerator * d.numerator, b.denominator * d.denominator
+    (xn, yn, gn), (xd, yd, gd) = twin_reduce(an, ln, wn), twin_reduce(ad, ld, wd)
     num, den, g = _times(xn, yd), _times(xd, yn), EXACT.multiply(gn, gd)
-    gp, w = int(EXACT.remainder(g, to_decimal(P))), b.numerator * d.numerator * b.denominator * d.denominator
-    return [EXACT.subtract(num, den) if minus else num, den], (x * t - minus * y * s, y * s), gp, w, exact
+    twin = EXACT.subtract(num, den) if minus else num, den
+    if gp := int(EXACT.remainder(g, to_decimal(P))):
+        # the residues of the reduced parts are those of the unreduced parts over g
+        inv = pow(gp, -1, P)
+        return _text(twin, ((x * t - minus * y * s) * inv, y * s * inv), wn * wd)
+    # P divides g, so the residues are 0 modulo P: check act and lo part by part, then the ratio exactly
+    _text(*act), _text(*lo)
+    p, q = _times(an, ld), _times(ad, ln)
+    if [EXACT.multiply(v, g) for v in twin] != [EXACT.subtract(p, q) if minus else p, q]:
+        raise CertificateError(f"a {twin[0].adjusted() + 1}-digit decimal twin fails its exact check")
+    return _text(twin, [int(EXACT.remainder(v, to_decimal(P))) for v in twin], wn * wd)
 
 
 def _cmd_eval(args) -> Report:
     params = _params_from_args(args)
     check_cap(args.n, args.cap)
-    orbit = list(_orbit(params, args.n))
-    values = [_text(t, r) for t, r in orbit]
-    monotone = all(_le(s[0], t[0]) for s, t in zip(orbit, orbit[1:]))
+    values = [_text(t, r) for t, r in _orbit(params, args.n)]
+    monotone = all(map(_le, values, values[1:]))
     return Report(
         command="eval",
         params=_params_dict(params),
@@ -182,10 +183,9 @@ def _cmd_bounds(args) -> Report:
         for l, (p, r) in powers.items():
             (f, q), act = bases[l], orbit[k + l]
             lo, up = _power_over(p, f, b, k), _power_over(r, f * q, b * q, k)
-            rat = _ratio(b, head[l], act, lo)
+            lower, upper, actual, ratio = _text(*lo), _text(*up), _text(*act), _ratio(b, head[l], act, lo)
             # lower <= actual is ratio >= 1, and the ratio is reduced
-            holds = rat[0][0] >= rat[0][1] and _le(act[0], up[0])
-            rows.append([k, l, frac_str(q), _text(*lo), _text(*up), _text(*act), _text(*rat), holds])
+            rows.append([k, l, frac_str(q), lower, upper, actual, ratio, ratio.num >= ratio.den and _le(actual, upper)])
     all_hold = all(r[-1] for r in rows)
     fields = ("k", "l", "q_l", "lower", "upper", "actual", "ratio", "holds")
     results, lines = {"k_max": k_max, "l_max": l_max, "all_hold": all_hold}, [f"all_hold = {all_hold}"]
@@ -198,18 +198,17 @@ def _cmd_converge(args) -> Report:
     if args.lmin > l_max:
         raise _UsageError("converge: --lmin must not exceed --lmax")
     check_cap(k + l_max, args.cap)
-    b, head, e = params.b, evaluate(params, l_max, args.cap), 1 << k
+    b, head = params.b, evaluate(params, l_max, args.cap)
     rows = []
     for l, act in zip(range(args.lmin, l_max + 1), islice(_orbit(params, k + l_max), k + args.lmin, None)):
         f, q = b * head[l], q_factor(params, head, l)
         p, qk = twin_of(f), twin_of(q)
         for _ in range(k):
             p, qk = _square(p), _square(qk)
-        rat = _ratio(b, head[l], act, _power_over(p, f, b, k), minus=1)
-        # Q(l) is reduced, so Q^(2^k) / Q divides part by part, and x - 1 of a reduced x stays reduced
-        gn, gd = (EXACT.divide_int(s, t) for s, t in zip(qk, twin_of(q)))
-        qn, qd = (pow(z, e - 1, P) for z in q.as_integer_ratio())
-        rows.append([l, _text(*rat), _text((EXACT.subtract(gn, gd), gd), (qn - qd, qd))])
+        # x - 1 of the reduced x = Q^(2^k) / Q stays reduced
+        (gn, gd), (qn, qd) = _power_over(qk, q, q, k)
+        ratio = _ratio(b, head[l], act, _power_over(p, f, b, k), minus=1)
+        rows.append([l, ratio, _text((EXACT.subtract(gn, gd), gd), (qn - qd, qd))])
     return _rows_report("converge", _params_dict(params), ("l", "ratio_minus_1", "gap"), rows, "rows", {"k": k})
 
 
@@ -220,8 +219,9 @@ def _cmd_benchmark(args) -> Report:
     check_cap(args.n, args.cap)
     rows, mark = [], ((_ONE, _ONE), (1, 1))
     for j, (t, r) in enumerate(_orbit(params, args.n)):
-        rows.append([j, _text(t, r), _text(*mark), _le(mark[0], t)])
-        mark = ((EXACT.multiply(mark[0][0], mark[0][0]) if j else to_decimal(2), _ONE), (pow(2, 1 << j, P), 1))
+        value, bench = _text(t, r), _text(*mark)
+        rows.append([j, value, bench, _le(bench, value)])
+        mark = ((EXACT.multiply(bench.num, bench.num) if j else to_decimal(2), _ONE), (pow(2, 1 << j, P), 1))
     all_dominate = all(r[-1] for r in rows)
     fields, results = ("n", "value", "benchmark", "dominates"), {"all_dominate": all_dominate}
     lines = [f"all_dominate = {all_dominate}"]

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import recgrow.bounds as bounds
 from recgrow import (
+    CertificateError,
     NonIntegerParamsError,
     Params,
     certify,
@@ -161,6 +163,14 @@ def test_integer_envelope_reference_values():
     assert 16 <= t11[3] == 26 <= 31
     assert integer_envelope(p11, t11, 1, 2) == (25, 26)
     assert integer_envelope(p19, t19, 1, 1) == (900, 901)
+
+
+def test_integer_envelope_rejects_a_lower_bound_off_the_integers(monkeypatch):
+    # integer a, b and d0 keep the orbit integral, so a lower bound that is not an integer is a fault
+    monkeypatch.setattr(bounds, "lower_bound", lambda params, table, k, l: F(1, 2))
+    p = Params(1, 1)
+    with pytest.raises(CertificateError, match=r"^lower bound on D\(3\) is not an integer$"):
+        integer_envelope(p, evaluate(p, 3), 1, 2)
 
 
 def test_integer_envelope_rejects_rational_coefficients():

@@ -1,11 +1,16 @@
 """The failure path of the CLI: the error's type alone picks the exit code and stderr line,
 bad input documents are usage errors, and a fault in the library propagates."""
 
+import itertools
 import json
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 import recgrow.growth as growth_mod
+import recgrow.loglog as loglog
 from recgrow.cli import run
 
 _FAMILY = {"c1": "1", "c2": "2", "delta": "1", "power": 2, "alpha": "1", "beta": "1", "d0": "2"}
@@ -76,6 +81,40 @@ def test_internal_value_error_propagates(monkeypatch, capsys):
     with pytest.raises(ValueError, match="internal fault"):
         run(["growth", "--a", "1", "--b", "1", "--l", "3"])
     assert capsys.readouterr() == ("", "")
+
+
+_GRID = "recgrow: certificate failure: grid 10^-0 is coarser than rtol=1/1000000000000 at c_lo=1\n"
+
+
+def test_grid_coarser_than_rtol_exits_4(monkeypatch, capsys):
+    # a grid of whole numbers cannot hold the root to rtol, whatever digits_for asked for
+    monkeypatch.setattr(growth_mod, "digits_for", lambda target: 0)
+    assert run(["growth", "--a", "1", "--b", "1", "--l", "3"]) == 4
+    assert capsys.readouterr() == ("", _GRID)
+
+
+_GRID_UNDER_O = """
+import sys
+import recgrow.growth as growth
+from recgrow.cli import run
+
+assert not __debug__
+growth.digits_for = lambda target: 0
+sys.exit(run(["growth", "--a", "1", "--b", "1", "--l", "3"]))
+"""
+
+
+def test_grid_check_survives_optimize_flag():
+    proc = subprocess.run([sys.executable, "-O", "-c", _GRID_UNDER_O], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", _GRID)
+
+
+def test_unstable_log_log_index_exits_3(monkeypatch, capsys):
+    # passes that never agree exhaust the precision ladder: the tolerance is unachievable, not a fault
+    values = itertools.cycle([Fraction(1), Fraction(2)])
+    monkeypatch.setattr(loglog, "_log_log_pass", lambda x, n, prec: next(values))
+    assert run(["growth", "--a", "1", "--b", "1", "--l", "3", "--loglog-n", "5"]) == 3
+    assert capsys.readouterr() == ("", "recgrow: log-log index did not stabilize to rtol=1/1000000000000\n")
 
 
 #: command, document, and the start of the message after "bad <kind> document: "

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from recgrow import (
     is_monotone,
     validate_params,
 )
+from recgrow.general import PowerFamily
+from recgrow.matrixrec import MatrixParams
 
 F = Fraction
 
@@ -42,6 +45,28 @@ def test_floats_are_refused():
         Params(0.25, 1)
     with pytest.raises(TypeError):
         validate_params(1, 1, 0.5)
+
+
+@pytest.fixture
+def default_int_limit():
+    # the interpreter's default cap on int <-> str conversion, which Fraction(str) obeys
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_rational_strings_parse_at_any_length(default_int_limit):
+    # the library takes the CLI's rational grammar, so a 5000-digit string is a value, not an error
+    ones = "1" * 5000
+    r = (10**5000 - 1) // 9
+    assert Params(ones, 1).a == r
+    assert PowerFamily(2, ones, "1").alpha == r
+    assert MatrixParams([[ones]], [["1"]], [["1/" + ones]]).d0 == ((F(1, r),),)
+    with pytest.raises(TypeError):
+        Params(ones, 0.5)
+    with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: '1/-2'$"):
+        Params("1/-2", 1)
 
 
 def test_reference_values_a1_b1():

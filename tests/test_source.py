@@ -147,3 +147,19 @@ def test_run_catches_only_the_errors_it_maps_to_exit_codes():
         caught |= {ast.unparse(t) if t is not None else "<bare>" for t in types}
     assert caught
     assert caught & {"<bare>", "BaseException", "Exception", "ValueError", "ArithmeticError", "LookupError"} == set()
+
+
+def test_only_the_gate_builds_a_printed_twin():
+    # a TwinText is what a report prints, so one built outside _text would print a twin no residue check saw
+    path = SOURCE / "twins.py"
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "TwinText":
+                found.append((".".join(scope), child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    assert [scope for scope, _ in found] == ["_text"]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import recgrow.cli as cli
 import recgrow.twins as twins
 from recgrow import Params, certify, compare_to_benchmark, convergence_profile, evaluate, is_monotone
-from recgrow.serialize import EXACT, frac_str
+from recgrow.serialize import EXACT, TwinText, frac_str
 from recgrow.twins import P
 
 # perfbench's oracle shares no code with recgrow: a plain Fraction loop and cross-multiplied comparisons
@@ -86,8 +86,8 @@ _twin = st.builds(twins.twin_of, st.fractions(min_value=F(1, 10**30), max_value=
 def test_twin_comparison_matches_fraction_comparison(s, t, scale):
     # values with equal, adjacent and distant digit counts, and pairs equal in value
     x, y = (F(int(n), int(d)) for n, d in (s, t))
-    assert twins._le(s, t) is (x <= y)
-    assert twins._le(s, twins.twin_of(x * scale)) is True
+    assert twins._le(TwinText(*s), TwinText(*t)) is (x <= y)
+    assert twins._le(TwinText(*s), TwinText(*twins.twin_of(x * scale))) is True
 
 
 #: 10^1,000,001 as an exact integer: a twin part times it outgrows the default Emax of decimal contexts
@@ -108,8 +108,8 @@ def test_close_twins_compare_as_fractions(s, shift, step, scale, big):
     t = tuple(EXACT.multiply(v, scale) for v in twins.twin_of(y))
     if big:
         s, t = (EXACT.multiply(s[0], _TEN_BIG), s[1]), (EXACT.multiply(t[0], _TEN_BIG), t[1])
-    assert twins._le(s, t) is (x <= y)
-    assert twins._le(t, s) is (y <= x)
+    assert twins._le(TwinText(*s), TwinText(*t)) is (x <= y)
+    assert twins._le(TwinText(*t), TwinText(*s)) is (y <= x)
 
 
 _long = st.integers(1, 10**2000)
@@ -124,8 +124,8 @@ def test_near_equal_long_twins_compare_as_fractions(n, d, k, step):
     x = F(n, d)
     y = x * (10**k + step) / 10**k
     s, t = twins.twin_of(x), twins.twin_of(y)
-    assert twins._le(s, t) is (x <= y)
-    assert twins._le(t, s) is (y <= x)
+    assert twins._le(TwinText(*s), TwinText(*t)) is (x <= y)
+    assert twins._le(TwinText(*t), TwinText(*s)) is (y <= x)
 
 
 @pytest.mark.parametrize("k, decided_at", [(100, 256), (500, 1024), (1500, None)])
@@ -137,8 +137,8 @@ def test_near_equal_long_twins_reach_each_bracket(k, decided_at, monkeypatch):
     precs, exact, context, times = [], [], twins.Context, twins._times
     monkeypatch.setattr(twins, "Context", lambda prec, **kw: precs.append(prec) or context(prec=prec, **kw))
     monkeypatch.setattr(twins, "_times", lambda *a: exact.append(1) or times(*a))
-    assert twins._le(s, t) is True
-    assert twins._le(t, s) is False
+    assert twins._le(TwinText(*s), TwinText(*t)) is True
+    assert twins._le(TwinText(*t), TwinText(*s)) is False
     assert max(precs) == (decided_at or 1024) and bool(exact) is (decided_at is None)
 
 
@@ -177,6 +177,8 @@ _CORRUPTED += [
     for a, b in ((1, 1), ("1/2", "1/2 --d0 35/2"), (P, f"1/{P} --d0 3/2"))
     for part in (4, 5)
 ]
+# part 6: each part times 1.0, the same value and residues, but it would print as "26.0"
+_CORRUPTED += [("eval --a 1 --b 1 --n 6", 6), ("benchmark --a 1 --b 1 --n 6", 6)]
 
 # replaces the check-and-print step of recgrow.twins with one that corrupts each twin first
 _CORRUPT = """
@@ -190,6 +192,8 @@ def corrupt(part):
     def _text(t, r, *ratio):
         if part == 3 or part == 4 and ratio:
             t = tuple(EXACT.multiply(x, 3 if part == 3 else 1000003) for x in t)
+        elif part == 6:
+            t = tuple(EXACT.multiply(x, EXACT.create_decimal("1.0")) for x in t)
         elif part < 3 or part == 5 and ratio:
             t = tuple(EXACT.add(x, 1) if i == (0 if part == 5 else part) else x for i, x in enumerate(t))
         return text(t, r, *ratio)
@@ -279,6 +283,12 @@ def test_verdicts_come_from_the_twin_comparison(monkeypatch):
     assert [c["holds"] for c in _results("bounds --a 1 --b 1 --kmax 1 --lmax 2".split())["certificates"]] == [False] * 2
     rows = _results("benchmark --a 1 --b 1 --n 2".split())["rows"]
     assert [r["dominates"] for r in rows] == [False] * 3
+
+
+def test_holds_reads_the_checked_ratio(monkeypatch):
+    # a ratio below 1 says lower > actual, so no row may hold whatever the upper bound says
+    monkeypatch.setattr(twins, "_ratio", lambda *args: TwinText(Decimal(1), Decimal(2)))
+    assert [c["holds"] for c in _results("bounds --a 1 --b 1 --kmax 1 --lmax 2".split())["certificates"]] == [False] * 2
 
 
 @pytest.mark.parametrize("abd", ["--a 1 --b 1", f"--a {P} --b 1/{P} --d0 3/2"])
