@@ -10,8 +10,8 @@ ALLOWED_ASSERTS = set()
 CLI_MODULE_LEVEL_IMPORTS = {"errors", "recurrence", "report", "serialize"}
 
 
-def _asserts(path: Path) -> list[tuple[str, str, int]]:
-    """(file, dotted enclosing scope, line) of every assert statement in a module."""
+def _scoped(path: Path, match) -> list[tuple[str, str, int]]:
+    """(file, dotted enclosing scope, line) of every node in a module that match accepts."""
     found = []
 
     def visit(node, scope):
@@ -19,7 +19,7 @@ def _asserts(path: Path) -> list[tuple[str, str, int]]:
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
-            elif isinstance(child, ast.Assert):
+            elif match(child):
                 found.append((path.name, ".".join(scope), child.lineno))
             visit(child, inner)
 
@@ -31,7 +31,7 @@ def test_no_certifying_asserts_in_package_source():
     # python -O compiles asserts out, so every check that certifies a result must raise explicitly
     modules = sorted(SOURCE.glob("*.py"))
     assert modules
-    found = [a for path in modules for a in _asserts(path)]
+    found = [a for path in modules for a in _scoped(path, lambda node: isinstance(node, ast.Assert))]
     assert [a for a in found if a[:2] not in ALLOWED_ASSERTS] == []
 
 
@@ -152,14 +152,5 @@ def test_run_catches_only_the_errors_it_maps_to_exit_codes():
 def test_only_the_gate_builds_a_printed_twin():
     # a TwinText is what a report prints, so one built outside _text would print a twin no residue check saw
     path = SOURCE / "twins.py"
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "TwinText":
-                found.append((".".join(scope), child.lineno))
-            visit(child, inner)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), ())
-    assert [scope for scope, _ in found] == ["_text"]
+    found = _scoped(path, lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", "") == "TwinText")
+    assert [scope for _, scope, _ in found] == ["_text"]
