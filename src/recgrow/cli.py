@@ -17,7 +17,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import CapExceededError, CertificateError, InvalidParamsError, ToleranceUnachievableError
-from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, DEFAULT_ROOT_DIGITS, MATRIX_DEFAULT_CAP
+from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, MATRIX_DEFAULT_CAP
 from .report import _UsageError, _emit
 from .serialize import parse_rational
 
@@ -100,7 +100,7 @@ _COMMANDS = {
     "general": ("general", "power-nonlinearity envelope from a JSON document", (
         *_fmt(DEFAULT_CAP),
         ("--file", dict(required=True, help="nonlinearity document (c1, c2, delta, power, alpha, beta, d0)")),
-        _N, ("--digits", dict(type=_pos_int, default=DEFAULT_ROOT_DIGITS)),
+        _N,
     )),
     "matrix": ("matrixrec", "matrix recursion from a JSON document", (
         *_fmt(MATRIX_DEFAULT_CAP),

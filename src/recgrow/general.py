@@ -10,13 +10,12 @@ quadratic recursion is the special case delta = 1, C1 = C2 = b (where the
 lower envelope is exactly the certified pure-quadratic bound).
 
 Families are restricted to F(n, z) = alpha(n) * z^p + beta(n) with rational
-coefficients, which keeps the sandwich check decidable: for rational
-1 + delta = u/v, the inequality C*z^(u/v) <= F is equivalent to
-C^v * z^u <= F^v, an exact rational comparison.  The envelopes take such
-powers as grid points r/10^digits certified by :func:`pow_lower` and
-:func:`pow_upper`, which compare (r/10^digits)^v with z^u through
-:func:`~recgrow.roots.pow_cmp` without forming z^u, under the default digit
-budget (ToleranceUnachievableError past it).
+coefficients and integer p >= 1, so :func:`verify_sandwich` decides the claim
+for every z >= 1 in closed form; it holds only when p = 1 + delta.  Library
+callers may still take a non-integer 1 + delta = u/v: the envelopes then take
+grid points r/10^digits certified by :func:`pow_lower` and :func:`pow_upper`,
+which compare (r/10^digits)^v with z^u through :func:`~recgrow.roots.pow_cmp`
+without forming z^u, under the default digit budget.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from fractions import Fraction
 from .errors import InvalidParamsError
 from .recurrence import DEFAULT_MAX_DIGITS, DEFAULT_ROOT_DIGITS, ValidationReport, as_fraction, check_cap
 from .report import Report, _read_document, _rows_report
-from .roots import _grid_bound
 from .serialize import frac_str, parse_rational
 
 
@@ -42,6 +40,8 @@ def pow_lower(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
         raise ValueError("negative exponents not supported")
     if exponent.denominator == 1:
         return x ** int(exponent)
+    from .roots import _grid_bound  # only a rational power compiles roots
+
     return _grid_bound(x, exponent.denominator, digits, exponent.numerator, False, DEFAULT_MAX_DIGITS)
 
 
@@ -51,6 +51,8 @@ def pow_upper(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
         raise ValueError("negative exponents not supported")
     if exponent.denominator == 1:
         return x ** int(exponent)
+    from .roots import _grid_bound
+
     return _grid_bound(x, exponent.denominator, digits, exponent.numerator, True, DEFAULT_MAX_DIGITS)
 
 
@@ -73,7 +75,7 @@ class PowerFamily(namedtuple("PowerFamily", "power alpha beta")):
 
     def __new__(cls, power: int, alpha, beta):
         if power < 1:
-            raise ValueError(f"power must be >= 1, got {power}")
+            raise InvalidParamsError(f"power must be >= 1, got {power}")
         coeffs = (tuple(map(as_fraction, c)) if isinstance(c, (list, tuple)) else as_fraction(c) for c in (alpha, beta))
         return super().__new__(cls, power, *coeffs)
 
@@ -89,9 +91,9 @@ class PowerNonlinearity(namedtuple("PowerNonlinearity", "c1 c2 delta family")):
     def __new__(cls, c1, c2, delta, family: PowerFamily):
         c1, c2, delta = as_fraction(c1), as_fraction(c2), as_fraction(delta)
         if not 0 < c1 <= c2:
-            raise ValueError(f"need 0 < C1 <= C2, got C1={frac_str(c1)}, C2={frac_str(c2)}")
+            raise InvalidParamsError(f"need 0 < C1 <= C2, got C1={frac_str(c1)}, C2={frac_str(c2)}")
         if delta <= 0:
-            raise ValueError(f"delta must be positive, got {frac_str(delta)}")
+            raise InvalidParamsError(f"delta must be positive, got {frac_str(delta)}")
         return super().__new__(cls, c1, c2, delta, family)
 
 
@@ -106,31 +108,25 @@ class EnvelopePair(namedtuple("EnvelopePair", "lower upper exact")):
     __slots__ = ()
 
 
-def verify_sandwich(pn: PowerNonlinearity, z_samples, n_range) -> ValidationReport:
-    """Exactly check C1*z^(1+delta) <= F(n, z) <= C2*z^(1+delta) on samples.
+def verify_sandwich(pn: PowerNonlinearity, n_range) -> ValidationReport:
+    """Decide C1*z^(1+delta) <= F(n, z) <= C2*z^(1+delta) for every z >= 1 and every n in n_range.
 
-    Violations are reported with the exact residual in the v-th-power domain
-    (v = denominator of 1 + delta); for integer delta that is the plain
-    difference from the violated side.
+    F/z^(1+delta) tends to 0 or +-infinity when p != 1 + delta: one violation, of margin p - 1 - delta.
+    Else it is alpha + beta*s, linear in s = z^-p over (0, 1], so the claim holds at step n exactly when
+    C1 <= min(alpha, alpha+beta) and max(alpha, alpha+beta) <= C2; a failing side's violation is its shortfall.
     """
-    samples = [as_fraction(z) for z in z_samples]
-    if not samples:
-        raise ValueError("need at least one z sample")
-    if any(z < 1 for z in samples):
-        raise InvalidParamsError("sandwich condition is only claimed for z >= 1")
     e = 1 + pn.delta
-    u, v = e.numerator, e.denominator
     violations = []
     for n in n_range:
-        for z in samples:
-            f = pn.family.apply(n, z)
-            zu = z ** u
-            fv = f ** v
-            low, high = pn.c1 ** v * zu, pn.c2 ** v * zu
-            if fv < low:
-                violations.append((f"C1*z^(1+delta) <= F at n={n}, z={frac_str(z)}", low - fv))
-            if fv > high:
-                violations.append((f"F <= C2*z^(1+delta) at n={n}, z={frac_str(z)}", fv - high))
+        if pn.family.power != e:
+            violations.append(("power = 1+delta", pn.family.power - e))
+            break
+        alpha = _coeff(pn.family.alpha, n)
+        ends = (alpha, alpha + _coeff(pn.family.beta, n))
+        if min(ends) < pn.c1:
+            violations.append((f"C1*z^(1+delta) <= F at n={n}", pn.c1 - min(ends)))
+        if max(ends) > pn.c2:
+            violations.append((f"F <= C2*z^(1+delta) at n={n}", max(ends) - pn.c2))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -226,8 +222,9 @@ def _cmd_general(args) -> Report:
         raise InvalidParamsError(f"seed must be >= 1, got {frac_str(d0)}")
     check_cap(args.n, args.cap)
     orbit = iterate_family(pn.family, d0, args.n)
-    samples = sorted(set(orbit) | {Fraction(1)})
-    sandwich = verify_sandwich(pn, samples, range(args.n))
+    if min(orbit) < 1:  # the envelopes' induction uses the claim at z = D(n)
+        raise InvalidParamsError("sandwich condition is only claimed for z >= 1")
+    sandwich = verify_sandwich(pn, range(args.n))
     params = {
         "c1": frac_str(pn.c1),
         "c2": frac_str(pn.c2),
@@ -239,7 +236,7 @@ def _cmd_general(args) -> Report:
     }
     if not sandwich.ok:
         raise InvalidParamsError(sandwich)
-    pair = envelope(pn, d0, args.n, root_digits=args.digits)
+    pair = envelope(pn, d0, args.n)
     rows = [
         [n, frac_str(lo), frac_str(value), frac_str(up), lo <= value <= up]
         for n, (lo, value, up) in enumerate(zip(pair.lower, orbit, pair.upper))

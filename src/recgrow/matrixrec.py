@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InvalidParamsError
 from .recurrence import MATRIX_DEFAULT_CAP, Params, SequenceTable, as_fraction
 from .report import Report, _read_document
 from .serialize import frac_str, parse_rational
@@ -62,7 +62,7 @@ class MatrixParams(namedtuple("MatrixParams", "a b d0")):
             raise ValueError(f"inconsistent dimensions {sorted(dims)}")
         for name, mat in mats.items():
             if any(x < 0 for row in mat for x in row):
-                raise ValueError(f"matrix {name} has a negative entry")
+                raise InvalidParamsError(f"matrix {name} has a negative entry")
         return super().__new__(cls, **mats)
 
     @property

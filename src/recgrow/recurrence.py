@@ -27,7 +27,7 @@ MATRIX_DEFAULT_CAP = 16
 #: unless its call passes another ``max_digits``; the ``--max-digits`` default.
 DEFAULT_MAX_DIGITS = 2_000_000
 
-#: Grid digits of the rational powers in :func:`~recgrow.general.envelope`; the ``general --digits`` default.
+#: Grid digits of the rational powers of :func:`~recgrow.general.envelope` and ``closed_form_lower``.
 DEFAULT_ROOT_DIGITS = 40
 
 

@@ -157,5 +157,7 @@ def _read_document(path: str, kind: str, build):
         raise _UsageError(f"JSON document {path} must contain an object")
     try:
         return build(doc)
+    except InvalidParamsError:  # a claim value breaks a validity condition: exit 2, not a bad document
+        raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad {kind} document: {exc}")

@@ -54,6 +54,44 @@ INVALID = {
         None,
         "recgrow: invalid parameters, failed condition(s): b > 0, 4ab >= 1\n",
     ),
+    "delta = 0": (
+        ["general", "--file", "doc", "--n", "3"],
+        {**_FAMILY, "delta": "0"},
+        "recgrow: invalid parameters: delta must be positive, got 0\n",
+    ),
+    "C1 = 0": (
+        ["general", "--file", "doc", "--n", "3"],
+        {**_FAMILY, "c1": "0"},
+        "recgrow: invalid parameters: need 0 < C1 <= C2, got C1=0, C2=2\n",
+    ),
+    "C1 > C2": (
+        ["general", "--file", "doc", "--n", "3"],
+        {**_FAMILY, "c1": "5/2"},
+        "recgrow: invalid parameters: need 0 < C1 <= C2, got C1=5/2, C2=2\n",
+    ),
+    "power = 0": (
+        ["general", "--file", "doc", "--n", "3"],
+        {**_FAMILY, "power": 0},
+        "recgrow: invalid parameters: power must be >= 1, got 0\n",
+    ),
+    "negative matrix entry": (
+        ["matrix", "--file", "doc", "--n", "3"],
+        {**_MATRIX, "b": [["-1"]]},
+        "recgrow: invalid parameters: matrix b has a negative entry\n",
+    ),
+    # two claims that hold at every orbit value but not for every z >= 1: z^2 + 1 outgrows 10^50 * z^(3/2)
+    # past z = 10^100, and (z^2 + 1)/z^2 = 1 + z^-2 falls to 1, below C1, as z grows
+    "power = 1+delta": (
+        ["general", "--file", "doc", "--n", "3"],
+        {**_FAMILY, "c2": str(10**50), "delta": "1/2"},
+        "recgrow: invalid parameters, failed condition(s): power = 1+delta\n",
+    ),
+    "C1 at the limit": (
+        ["general", "--file", "doc", "--n", "3"],
+        {**_FAMILY, "c1": "1000000000000000000000000000001/1000000000000000000000000000000"},
+        "recgrow: invalid parameters, failed condition(s): C1*z^(1+delta) <= F at n=0, C1*z^(1+delta) <= F at n=1, "
+        "C1*z^(1+delta) <= F at n=2\n",
+    ),
 }
 
 

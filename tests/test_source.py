@@ -137,10 +137,13 @@ def test_no_module_imports_cli():
     assert found == []
 
 
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    return next(n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
 def test_run_catches_only_the_errors_it_maps_to_exit_codes():
     # a ValueError or any other exception that no handler names is a fault, and must propagate
-    path = SOURCE / "cli.py"
-    run = next(n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.FunctionDef) and n.name == "run")
+    run = _function(SOURCE / "cli.py", "run")
     caught = set()
     for handler in (n for n in ast.walk(run) if isinstance(n, ast.ExceptHandler)):
         types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
@@ -154,3 +157,21 @@ def test_only_the_gate_builds_a_printed_twin():
     path = SOURCE / "twins.py"
     found = _scoped(path, lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", "") == "TwinText")
     assert [scope for _, scope, _ in found] == ["_text"]
+
+
+def _args_read(function: ast.FunctionDef) -> set[str]:
+    """Names of the attributes a function reads as args.<name>."""
+    return {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute) and getattr(n.value, "id", "") == "args"}
+
+
+def test_every_option_is_read_by_its_command():
+    # an option that no code reads still parses and shows in --help, but changes nothing a run does
+    from recgrow.cli import _COMMANDS
+
+    read_by_run = _args_read(_function(SOURCE / "cli.py", "run"))  # --format
+    read_as_params = _args_read(_function(SOURCE / "report.py", "_params_from_args"))  # --a, --b, --d0
+    for command, (home, _, options) in _COMMANDS.items():
+        handler = _function(SOURCE / f"{home}.py", f"_cmd_{command}")
+        calls = {getattr(n.func, "id", "") for n in ast.walk(handler) if isinstance(n, ast.Call)}
+        read = read_by_run | _args_read(handler) | (read_as_params if "_params_from_args" in calls else set())
+        assert sorted({flag[2:].replace("-", "_") for flag, _ in options} - read) == [], command
