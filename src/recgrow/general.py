@@ -111,16 +111,16 @@ class EnvelopePair(namedtuple("EnvelopePair", "lower upper exact")):
 def verify_sandwich(pn: PowerNonlinearity, n_range) -> ValidationReport:
     """Decide C1*z^(1+delta) <= F(n, z) <= C2*z^(1+delta) for every z >= 1 and every n in n_range.
 
-    F/z^(1+delta) tends to 0 or +-infinity when p != 1 + delta: one violation, of margin p - 1 - delta.
+    F/z^(1+delta) tends to 0 or +-infinity when p != 1 + delta: one violation, of margin p - 1 - delta,
+    whatever n_range holds.
     Else it is alpha + beta*s, linear in s = z^-p over (0, 1], so the claim holds at step n exactly when
     C1 <= min(alpha, alpha+beta) and max(alpha, alpha+beta) <= C2; a failing side's violation is its shortfall.
     """
     e = 1 + pn.delta
+    if pn.family.power != e:
+        return ValidationReport(ok=False, violations=(("power = 1+delta", pn.family.power - e),))
     violations = []
     for n in n_range:
-        if pn.family.power != e:
-            violations.append(("power = 1+delta", pn.family.power - e))
-            break
         alpha = _coeff(pn.family.alpha, n)
         ends = (alpha, alpha + _coeff(pn.family.beta, n))
         if min(ends) < pn.c1:

@@ -72,8 +72,10 @@ def test_sandwich_per_step_coefficients():
     assert report.violations == (("C1*z^(1+delta) <= F at n=0", F(1, 2)), ("F <= C2*z^(1+delta) at n=1", F(1, 2)))
 
 
-def test_sandwich_over_no_steps_claims_nothing():
-    assert verify_sandwich(_pn(1, 1, F(1, 2)), range(0)).ok
+def test_sandwich_over_no_steps():
+    # no step has coefficients to bound, but the power condition holds or fails for the family as a whole
+    assert verify_sandwich(_pn(1, 1, 1), range(0)).ok
+    assert verify_sandwich(_pn(1, 1, F(1, 2)), range(0)).violations == (("power = 1+delta", F(1, 2)),)
 
 
 _COEFF = st.builds(F, st.integers(0, 64), st.integers(1, 64))

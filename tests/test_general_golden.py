@@ -7,7 +7,8 @@ root of the exactly scaled radicand x^u * 10^(digits*v).  The command lines
 below printed pinned reports from the same implementation, for the README's
 family with delta = 1/2 or 3/5 and C2 = 10^50, while the command checked the
 sandwich only at the orbit values.  For z > 10^100, z^2 + 1 > 10^50 * z^(3/2),
-so the claim is false for z >= 1 and each line now exits 2.
+so the claim is false for z >= 1 and each line now exits 2, as does the same
+family at --n 0, where no step is taken but no power 2 meets 1 + delta.
 """
 
 import json
@@ -20,7 +21,9 @@ from recgrow.cli import run
 
 F = Fraction
 
-REFUSED = [("1/2", "--n 6 --format json"), ("1/2", "--n 6 --format csv"), ("3/5", "--n 3 --format json")]
+REFUSED = [
+    ("1/2", "--n 6 --format json"), ("1/2", "--n 6 --format csv"), ("3/5", "--n 3 --format json"), ("1/2", "--n 0"),
+]
 
 
 def _family_doc(delta: str) -> dict:
