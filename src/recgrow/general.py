@@ -11,11 +11,9 @@ lower envelope is exactly the certified pure-quadratic bound).
 
 Families are restricted to F(n, z) = alpha(n) * z^p + beta(n) with rational
 coefficients and integer p >= 1, so :func:`verify_sandwich` decides the claim
-for every z >= 1 in closed form; it holds only when p = 1 + delta.  Library
-callers may still take a non-integer 1 + delta = u/v: the envelopes then take
-grid points r/10^digits certified by :func:`pow_lower` and :func:`pow_upper`,
-which compare (r/10^digits)^v with z^u through :func:`~recgrow.roots.pow_cmp`
-without forming z^u, under the default digit budget.
+for every z >= 1 in closed form; it holds only when p = 1 + delta.  So the
+envelopes take an integer 1 + delta only, and every value they return is an
+exact rational.
 """
 
 from __future__ import annotations
@@ -24,36 +22,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidParamsError
-from .recurrence import DEFAULT_MAX_DIGITS, DEFAULT_ROOT_DIGITS, ValidationReport, as_fraction, check_cap
+from .recurrence import ValidationReport, as_fraction, check_cap
 from .report import Report, _read_document, _rows_report
 from .serialize import frac_str, parse_rational
-
-
-def pow_lower(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
-    """Certified lower bound for x^exponent, x >= 0, exponent >= 0.
-
-    Exact (not rounded) when the exponent is an integer; otherwise the
-    largest grid point r/10^digits with (r/10^digits)^v <= x^u for
-    exponent = u/v.
-    """
-    if exponent < 0:
-        raise ValueError("negative exponents not supported")
-    if exponent.denominator == 1:
-        return x ** int(exponent)
-    from .roots import _grid_bound  # only a rational power compiles roots
-
-    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, False, DEFAULT_MAX_DIGITS)
-
-
-def pow_upper(x: Fraction, exponent: Fraction, digits: int) -> Fraction:
-    """Certified upper bound for x^exponent; exact for integer exponents."""
-    if exponent < 0:
-        raise ValueError("negative exponents not supported")
-    if exponent.denominator == 1:
-        return x ** int(exponent)
-    from .roots import _grid_bound
-
-    return _grid_bound(x, exponent.denominator, digits, exponent.numerator, True, DEFAULT_MAX_DIGITS)
 
 
 def _coeff(coeffs, n: int) -> Fraction:
@@ -97,15 +68,18 @@ class PowerNonlinearity(namedtuple("PowerNonlinearity", "c1 c2 delta family")):
         return super().__new__(cls, c1, c2, delta, family)
 
 
-class EnvelopePair(namedtuple("EnvelopePair", "lower upper exact")):
-    """Pointwise bracket sequences around an orbit.
-
-    ``exact`` is True when the exponent 1 + delta is an integer, so both
-    sequences are exact rationals; otherwise lower values are rounded down
-    and upper values up on the 10^-digits grid, preserving the bracket.
-    """
+class EnvelopePair(namedtuple("EnvelopePair", "lower upper")):
+    """Pointwise bracket sequences around an orbit, both exact rationals."""
 
     __slots__ = ()
+
+
+def _integer_exponent(pn: PowerNonlinearity) -> int:
+    """1 + delta, refused unless it is an integer: no power family meets a claim with any other."""
+    e = 1 + pn.delta
+    if e.denominator != 1:
+        raise InvalidParamsError(f"1 + delta must be an integer, got {frac_str(e)}")
+    return int(e)
 
 
 def verify_sandwich(pn: PowerNonlinearity, n_range) -> ValidationReport:
@@ -138,60 +112,44 @@ def iterate_family(family: PowerFamily, d0, n_max: int) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def envelope(pn: PowerNonlinearity, d0, n_max: int, root_digits: int = DEFAULT_ROOT_DIGITS) -> EnvelopePair:
+def envelope(pn: PowerNonlinearity, d0, n_max: int) -> EnvelopePair:
     """Bracket sequences L, U with L(0) = U(0) = d0 and
 
         L(n+1) = C1 * L(n)^(1+delta),   U(n+1) = C2 * U(n)^(1+delta).
 
-    Requires d0 >= 1 and checks that L stays >= 1 (the sandwich regime);
-    non-integer delta uses outward-rounded rational powers, which keeps the
-    bracket valid because both step maps are monotone.
+    Requires an integer 1 + delta and d0 >= 1, and checks that L stays >= 1
+    (the sandwich regime).
     """
     seed = as_fraction(d0)
     if seed < 1:
         raise ValueError(f"seed must be >= 1, got {frac_str(seed)}")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    e = 1 + pn.delta
-    exact = e.denominator == 1
+    e = _integer_exponent(pn)
     lower, upper = [seed], [seed]
     for n in range(n_max):
-        lo = pn.c1 * pow_lower(lower[-1], e, root_digits)
-        up = pn.c2 * pow_upper(upper[-1], e, root_digits)
+        lo = pn.c1 * lower[-1] ** e
         if lo < 1:
             raise InvalidParamsError(
-                f"lower envelope left the z >= 1 regime at step {n + 1} (L={frac_str(lo)}); "
-                f"increase C1, the seed, or root_digits"
+                f"lower envelope left the z >= 1 regime at step {n + 1} (L={frac_str(lo)}); increase C1 or the seed"
             )
         lower.append(lo)
-        upper.append(up)
-    return EnvelopePair(lower=tuple(lower), upper=tuple(upper), exact=exact)
+        upper.append(pn.c2 * upper[-1] ** e)
+    return EnvelopePair(lower=tuple(lower), upper=tuple(upper))
 
 
-def closed_form_lower(
-    pn: PowerNonlinearity, l_value, k: int, root_digits: int = DEFAULT_ROOT_DIGITS
-) -> Fraction | tuple[Fraction, Fraction]:
-    """k-fold lower envelope in closed form:
+def closed_form_lower(pn: PowerNonlinearity, l_value, k: int) -> Fraction:
+    """k-fold lower envelope in closed form, exactly, for an integer 1 + delta:
 
         C1^(((1+delta)^k - 1)/delta) * l_value^((1+delta)^k).
-
-    Returns an exact Fraction when both exponents are integers (always the
-    case for integer delta); otherwise a certified (low, high) pair on the
-    10^-root_digits grid.
     """
     z = as_fraction(l_value)
     if z < 1:
         raise ValueError(f"l_value must be >= 1, got {frac_str(z)}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    e = 1 + pn.delta
-    z_exp = e ** k
-    c_exp = (z_exp - 1) / pn.delta
-    if z_exp.denominator == 1 and c_exp.denominator == 1:
-        return pn.c1 ** int(c_exp) * z ** int(z_exp)
-    lo = pow_lower(pn.c1, c_exp, root_digits) * pow_lower(z, z_exp, root_digits)
-    hi = pow_upper(pn.c1, c_exp, root_digits) * pow_upper(z, z_exp, root_digits)
-    return (lo, hi)
+    e = _integer_exponent(pn)
+    return pn.c1 ** ((e ** k - 1) // (e - 1)) * z ** e ** k
 
 
 def _family_from_doc(doc: dict, n: int) -> tuple:
@@ -243,6 +201,7 @@ def _cmd_general(args) -> Report:
     ]
     all_contained = all(r[-1] for r in rows)
     fields = ("n", "lower", "value", "upper", "contained")
-    results = {"sandwich_ok": True, "exact": pair.exact, "all_contained": all_contained}
-    lines = ["sandwich_ok = True", f"exact = {pair.exact}", f"all_contained = {all_contained}"]
+    # every envelope is exact; the field stays so that reports keep their bytes
+    results = {"sandwich_ok": True, "exact": True, "all_contained": all_contained}
+    lines = ["sandwich_ok = True", "exact = True", f"all_contained = {all_contained}"]
     return _rows_report("general", params, fields, rows, "rows", results, lines)

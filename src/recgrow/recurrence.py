@@ -27,9 +27,6 @@ MATRIX_DEFAULT_CAP = 16
 #: unless its call passes another ``max_digits``; the ``--max-digits`` default.
 DEFAULT_MAX_DIGITS = 2_000_000
 
-#: Grid digits of the rational powers of :func:`~recgrow.general.envelope` and ``closed_form_lower``.
-DEFAULT_ROOT_DIGITS = 40
-
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, "p/q" / decimal strings, or Fractions to an exact Fraction."""

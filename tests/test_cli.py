@@ -127,9 +127,27 @@ def test_cap_defaults_per_subcommand(capsys):
     capsys.readouterr()
 
 
-def test_tolerance_budget_exit_3(capsys):
-    assert run(["growth", "--a", "1", "--b", "1", "--l", "10", "--max-digits", "100"]) == 3
-    capsys.readouterr()
+#: growth's digit-budget refusals, word for word: the step count, the precision and the digits needed
+BUDGET_REFUSALS = [
+    (
+        "growth --a 1 --b 1 --l 10 --max-digits 100",
+        "10 squarings and products at 90-bit precision need 542 digits, over the 100-digit budget",
+    ),
+    (
+        "growth --a 1 --b 1 --l 12 --max-digits 1000",
+        "12 squarings and products at 4910-bit precision need 35474 digits, over the 1000-digit budget",
+    ),
+    (
+        "growth --a 3/7 --b 5/3 --d0 11/5 --l 9 --max-digits 5000",
+        "9 squarings and products at 2045-bit precision need 11081 digits, over the 5000-digit budget",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", BUDGET_REFUSALS)
+def test_tolerance_budget_exit_3(argv, message, capsys):
+    assert run(argv.split()) == 3
+    assert capsys.readouterr() == ("", f"recgrow: {message}\n")
 
 
 def test_loglog_cap_is_checked_before_the_enclosure(monkeypatch, capsys):

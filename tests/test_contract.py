@@ -70,7 +70,7 @@ RECORDS = [
     (BenchmarkRow, "n value benchmark dominates", (2, F(5), 2, True), {}),
     (PowerFamily, "power alpha beta", (3, (F(1), F(2)), F(1, 2)), {}),
     (PowerNonlinearity, "c1 c2 delta family", (F(1), F(2), F(1, 2), _FAMILY), {}),
-    (EnvelopePair, "lower upper exact", ((F(1), F(2)), (F(1), F(3)), True), {}),
+    (EnvelopePair, "lower upper", ((F(1), F(2)), (F(1), F(3))), {}),
     (MatrixParams, "a b d0", (_ONE, ((F(1, 2),),), ((F(2),),)), {}),
     (NsModel, "d iterations bytes_per_term", (3, 4, 8), {"bytes_per_term": 16}),
     (CostRow, "n terms projected_bytes", (1, 10, 160), {}),

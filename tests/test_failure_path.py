@@ -47,7 +47,7 @@ INVALID = {
         ["general", "--file", "doc", "--n", "3"],
         {**_FAMILY, "c1": "1/4", "c2": "4", "beta": "0", "d0": "1"},
         "recgrow: invalid parameters: lower envelope left the z >= 1 regime at step 1 (L=1/4); "
-        "increase C1, the seed, or root_digits\n",
+        "increase C1 or the seed\n",
     ),
     "b = 0": (
         ["eval", "--a", "1", "--b", "0", "--n", "3"],

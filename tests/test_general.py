@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
 
 from recgrow import (
     Params,
     PowerFamily,
+    InvalidParamsError,
     PowerNonlinearity,
-    ToleranceUnachievableError,
     closed_form_lower,
     envelope,
     evaluate,
@@ -129,7 +128,6 @@ def test_sandwich_decision_matches_exact_sampling(case):
 def test_envelope_reference_run():
     pair = envelope(_pn(1, 2, 1), 2, 6)
     orbit = iterate_family(SQUARE_PLUS_ONE, 2, 6)
-    assert pair.exact
     assert [int(v) for v in pair.lower[:4]] == [2, 4, 16, 256]
     assert [int(v) for v in pair.upper[:4]] == [2, 8, 128, 32768]
     assert [int(v) for v in orbit[:4]] == [2, 5, 26, 677]
@@ -152,21 +150,14 @@ def test_envelope_guards_the_regime():
         envelope(_pn(F(1, 2), 2, 1), 1, 3)  # lower map dips below 1
 
 
-def test_envelope_noninteger_delta_brackets_outward():
-    pair = envelope(_pn(1, 2, F(1, 2)), 2, 4, root_digits=25)
-    assert not pair.exact
-    # directed rounding: (L(n+1)/c1)^2 <= L(n)^3 and (U(n+1)/c2)^2 >= U(n)^3
-    for n in range(4):
-        assert (pair.lower[n + 1] / 1) ** 2 <= pair.lower[n] ** 3
-        assert (pair.upper[n + 1] / 2) ** 2 >= pair.upper[n] ** 3
-    # cross-check against high-precision powers
-    mp.dps = 60
-    lo_true, up_true = mpf(2), mpf(2)
-    for _ in range(4):
-        lo_true = lo_true ** mpf(1.5)
-        up_true = 2 * up_true ** mpf(1.5)
-    assert float(pair.lower[4]) == pytest.approx(float(lo_true), rel=1e-12)
-    assert float(pair.upper[4]) == pytest.approx(float(up_true), rel=1e-12)
+@pytest.mark.parametrize("delta", [F(1, 2), F(3, 5), F(3, 2)])
+def test_envelopes_refuse_a_non_integer_power(delta):
+    # a power family meets a claim for every z >= 1 only when its integer power is 1 + delta
+    pn = _pn(1, 2, delta)
+    with pytest.raises(InvalidParamsError, match="1 \\+ delta must be an integer"):
+        envelope(pn, 2, 4)
+    with pytest.raises(InvalidParamsError, match="1 \\+ delta must be an integer"):
+        closed_form_lower(pn, 2, 2)
 
 
 def test_closed_form_reference_values():
@@ -191,25 +182,6 @@ def test_closed_form_matches_iteration():
         for k in range(1, 6):
             current = F(2) * current ** (1 + delta)
             assert closed_form_lower(pn, z, k) == current
-
-
-def test_closed_form_noninteger_delta_returns_bracket():
-    pn = _pn(2, 3, F(1, 2))
-    lo, hi = closed_form_lower(pn, 2, 2, root_digits=30)
-    assert lo < hi
-    # truth: 2^((1.5^2-1)/0.5) * 2^(1.5^2) = 2^2.5 * 2^2.25
-    mp.dps = 50
-    truth = mpf(2) ** mpf("2.5") * mpf(2) ** mpf("2.25")
-    assert float(lo) <= float(truth) <= float(hi)
-    assert hi - lo < F(1, 10 ** 20)
-
-
-def test_noninteger_powers_share_the_digit_budget():
-    # roots' one budget covers general too: its default applies, and a pass
-    # over it is refused before it is built
-    pn = _pn(2, 3, F(3, 5))
-    with pytest.raises(ToleranceUnachievableError, match="over the 2000000-digit budget"):
-        closed_form_lower(pn, 2, 3, root_digits=10 ** 6)
 
 
 def test_per_step_coefficient_tables():
@@ -237,12 +209,13 @@ _NONNEGATIVE = st.builds(F, st.integers(0, 8), st.integers(1, 4))
 
 @st.composite
 def _envelope_cases(draw):
-    """A family, claimed constants (C1, C2, delta), seed, n_max and root digits.
+    """A family of power 1 + delta or 2 + delta, claimed constants (C1, C2, integer delta), seed and n_max.
 
-    C1 and C2 start from min F/z^ceil(1+delta) and max F/z^floor(1+delta) over
-    the orbit, which bracket F/z^(1+delta) for z >= 1, and are then scaled by
-    a random factor that may break the sandwich claim."""
-    power = draw(st.integers(1, 3))
+    C1 and C2 are min and max F/z^(1+delta) over the orbit, scaled outward
+    by a random factor."""
+    delta = F(draw(st.integers(1, 2)))
+    e = 1 + delta
+    power = int(e) + draw(st.integers(0, 1))
     n_max = draw(st.integers(1, 4))
     if draw(st.booleans()):
         alpha, beta = draw(_POSITIVE), draw(_NONNEGATIVE)
@@ -250,38 +223,31 @@ def _envelope_cases(draw):
         alpha = tuple(draw(st.lists(_POSITIVE, min_size=n_max, max_size=n_max)))
         beta = tuple(draw(st.lists(_NONNEGATIVE, min_size=n_max, max_size=n_max)))
     family = PowerFamily(power=power, alpha=alpha, beta=beta)
-    delta = draw(st.sampled_from([F(1), F(2), F(1, 2), F(2, 3), F(3, 5), F(3, 2), F(5, 3)]))
     d0 = 1 + draw(st.integers(0, 8)) * F(1, draw(st.integers(1, 4)))
     orbit = iterate_family(family, d0, n_max)
     assume(min(orbit) >= 1)  # the sandwich is claimed for z >= 1 only
-    e = 1 + delta
     ratios = [(family.apply(n, z), z) for n in range(n_max) for z in sorted(set(orbit) | {F(1)})]
-    c1 = min(f / z ** -(-e.numerator // e.denominator) for f, z in ratios) * F(draw(st.integers(1, 6)), 4)
-    c2 = max(f / z ** (e.numerator // e.denominator) for f, z in ratios) * F(draw(st.integers(2, 8)), 4)
-    assume(0 < c1 <= c2)
-    # the envelopes' induction uses the sandwich only at z = D(n); it is checked there exactly, in the
-    # v-th-power domain, so that a non-integer delta, which no claim for every z >= 1 admits, stays covered
-    u, v = e.numerator, e.denominator
-    assume(all(c1 ** v * z ** u <= f ** v <= c2 ** v * z ** u for f, z in ratios))
+    c1 = min(f / z ** e for f, z in ratios) * F(draw(st.integers(1, 4)), 4)
+    c2 = max(f / z ** e for f, z in ratios) * F(draw(st.integers(4, 8)), 4)
+    # the envelopes' induction uses the sandwich only at z = D(n), where it holds exactly
+    assert all(c1 * z ** e <= f <= c2 * z ** e for f, z in ratios)
     pn = PowerNonlinearity(c1=c1, c2=c2, delta=delta, family=family)
-    return pn, d0, n_max, draw(st.integers(1, 30))
+    return pn, d0, n_max
 
 
 @settings(max_examples=100, deadline=None)
 @given(_envelope_cases())
 def test_envelope_contains_the_orbit(case):
-    pn, d0, n_max, digits = case
+    pn, d0, n_max = case
     orbit = iterate_family(pn.family, d0, n_max)
     try:
-        pair = envelope(pn, d0, n_max, root_digits=digits)
+        pair = envelope(pn, d0, n_max)
     except ValueError:
         assume(False)  # the lower envelope left the z >= 1 regime
     e = 1 + pn.delta
-    u, v = e.numerator, e.denominator
-    assert pair.exact == (v == 1)
     for n in range(n_max + 1):
         assert pair.lower[n] <= orbit[n] <= pair.upper[n]
-    # directed rounding, exactly: (L(n+1)/C1)^v <= L(n)^u and (U(n+1)/C2)^v >= U(n)^u
+    # the exact power maps: L(n+1) = C1*L(n)^(1+delta) and U(n+1) = C2*U(n)^(1+delta)
     for n in range(n_max):
-        assert (pair.lower[n + 1] / pn.c1) ** v <= pair.lower[n] ** u
-        assert (pair.upper[n + 1] / pn.c2) ** v >= pair.upper[n] ** u
+        assert pair.lower[n + 1] == pn.c1 * pair.lower[n] ** e
+        assert pair.upper[n + 1] == pn.c2 * pair.upper[n] ** e

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 import recgrow.roots as roots
 from recgrow import ToleranceUnachievableError
-from recgrow.recurrence import DEFAULT_MAX_DIGITS
-from recgrow.general import pow_lower, pow_upper
 from recgrow.growth import digits_for
 from recgrow.roots import nth_root_lower, nth_root_upper, pow_cmp
 
@@ -100,7 +98,7 @@ def test_rational_root_brackets():
     rng = random.Random(12)
     for _ in range(60):
         x = F(rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 6))
-        n = rng.randint(2, 9)
+        n = rng.choice([2, 4, 8])
         digits = rng.randint(1, 25)
         lo = nth_root_lower(x, n, digits)
         hi = nth_root_upper(x, n, digits)
@@ -110,20 +108,16 @@ def test_rational_root_brackets():
 
 def test_exact_roots_hit_the_grid_point():
     assert nth_root_lower(F(25), 2, 6) == 5 == nth_root_upper(F(25), 2, 6)
-    assert nth_root_lower(F(1, 8), 3, 4) == F(1, 2) == nth_root_upper(F(1, 8), 3, 4)
+    assert nth_root_lower(F(1, 16), 4, 4) == F(1, 2) == nth_root_upper(F(1, 16), 4, 4)
 
 
-def test_pow_bounds():
-    # integer exponents are exact, no rounding
-    assert pow_lower(F(3, 2), F(4), 1) == F(81, 16) == pow_upper(F(3, 2), F(4), 1)
-    # 2^(3/2) = 2.8284271247461903...
-    lo = pow_lower(F(2), F(3, 2), 12)
-    hi = pow_upper(F(2), F(3, 2), 12)
-    assert lo ** 2 <= F(2) ** 3 <= hi ** 2
-    assert hi - lo <= 2 * F(1, 10 ** 12)
-    assert str(lo).startswith("1414213562373/") or lo == F(2828427124746, 10 ** 12)
-    with pytest.raises(ValueError):
-        pow_lower(F(2), F(-1, 2), 5)
+@pytest.mark.parametrize("n", [0, 3, 12])
+def test_orders_other_than_powers_of_two_are_refused(n):
+    with pytest.raises(ValueError, match=f"root order must be a power of two, got {n}"):
+        pow_cmp(F(3, 2), n, F(2))
+    for root in (nth_root_lower, nth_root_upper):
+        with pytest.raises(ValueError, match=f"root order must be a power of two, got {n}"):
+            root(F(2), n, 5)
 
 
 def test_digits_for():
@@ -150,79 +144,43 @@ def _exact_upper(x, n, digits):
     return F(ceil_nth_root(ceil_scaled, n), scale)
 
 
-#: The orders 2^l, l <= 9, that growth takes, beyond the small orders n <= 12.
+#: The orders 2^l, l <= 9, that growth takes.
 _POW2_ORDERS = [2 ** l for l in range(10)]
 
 
 @st.composite
 def _root_cases(draw):
-    """(x, n, m, digits) with n <= 12 or n = 2^l, l <= 9, and m <= 9: random
-    rationals, and values x = t^n whose power x^(m/n) = t^m is a grid point,
-    nudged by a tiny amount or not at all."""
-    n = draw(st.one_of(st.integers(1, 12), st.sampled_from(_POW2_ORDERS)))
-    m = draw(st.integers(1, 9))
+    """(x, n, digits) with n = 2^l, l <= 9: random rationals, and values
+    x = t^n whose root t is a grid point, nudged by a tiny amount or not at all."""
+    n = draw(st.sampled_from(_POW2_ORDERS))
     digits = draw(st.integers(0, 30))
     magnitude = st.integers(0, 40).map(lambda k: 10 ** k)
     if draw(st.booleans()):
         x = F(draw(st.integers(0, draw(magnitude))), draw(st.integers(1, draw(magnitude))))
     else:
-        t = F(draw(st.integers(0, 10 ** (digits // m + 3))), 10 ** (digits // m))
+        t = F(draw(st.integers(0, 10 ** (digits + 3))), 10 ** digits)
         nudge = draw(st.sampled_from([-1, 0, 1])) * F(1, draw(magnitude))
         x = max(F(0), t ** n + nudge)
-    return x, n, m, digits
+    return x, n, digits
 
 
 @settings(max_examples=400, deadline=None)
 @given(_root_cases())
 def test_pow2_roots_match_exact_radicand(case):
-    # every order n <= 12, the orders 2^l up to 512, and rational powers
-    # x^(m/n) without forming x^m
-    x, n, m, digits = case
+    x, n, digits = case
     assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
     assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
-    exponent = F(m, n)
-    if exponent.denominator > 1:
-        assert pow_lower(x, exponent, digits) == _exact_lower(x ** m, n, digits)
-        assert pow_upper(x, exponent, digits) == _exact_upper(x ** m, n, digits)
-
-
-@pytest.mark.parametrize(
-    "x, exponent",
-    [(F(3), F(1001, 2)), (F(7, 5), F(4001, 3)), (F(5, 7), F(20001, 5)), (F(10 ** 30 + 1, 3), F(301, 11))],
-)
-def test_large_exponent_numerators_match_exact_radicand(x, exponent):
-    # the candidate sizes its precision from x^m itself: an estimate of
-    # m*log2(x) from bit lengths alone can be off by m bits, far more than
-    # the guard bits once m/n is large
-    m, n = exponent.numerator, exponent.denominator
-    for digits in (0, 10, 30):
-        lower = _exact_lower(x ** m, n, digits)
-        candidate = roots._root_candidate(x, n, digits, m, DEFAULT_MAX_DIGITS)
-        assert abs(candidate - lower.numerator * 10 ** digits // lower.denominator) <= 2
-        assert pow_lower(x, exponent, digits) == lower
-        assert pow_upper(x, exponent, digits) == _exact_upper(x ** m, n, digits)
 
 
 def test_exact_hits_of_large_powers_stop_doubling_at_the_exact_size(monkeypatch):
-    # x^(2224/37) = 3^2224 exactly: the last pass runs at the bit length of
-    # the largest exact power, not at the next doubling past it, which would
-    # be over the default budget
-    x = F(3) ** 37
-    assert pow_lower(x, F(2224, 37), 5) == 3 ** 2224 == pow_upper(x, F(2224, 37), 5)
+    # the last pass runs at the bit length of the exact powers, not at the
+    # next doubling past it
     precs = []
     bracket = roots._pow_bracket
     monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: precs.append(prec) or bracket(v, n, prec))
     base = F(123456789, 10 ** 9)
     assert pow_cmp(base, 2 ** 8, base ** (2 ** 8)) == 0
     assert max(precs) == 2 ** 8 * 30  # 30 = bits of the larger of 123456789 and 10^9
-
-
-def test_exact_hits_of_large_powers_fit_the_budget():
-    # x^(3001/37) = 3^3001 exactly: the passes that double towards the exact
-    # powers are charged for the powers they build, which stay far smaller
-    # than the working precision times the step count
-    x = F(3) ** 37
-    assert pow_lower(x, F(3001, 37), 5) == 3 ** 3001 == pow_upper(x, F(3001, 37), 5)
 
 
 @pytest.mark.parametrize("l", range(10))
@@ -250,18 +208,14 @@ def test_pow2_roots_recover_from_a_bad_candidate(monkeypatch, offset):
     monkeypatch.setattr(
         roots,
         "_root_candidate",
-        lambda x, n, digits, m, max_digits: max(0, candidate(x, n, digits, m, max_digits) + offset),
+        lambda x, n, digits, max_digits: max(0, candidate(x, n, digits, max_digits) + offset),
     )
     rng = random.Random(7)
     for _ in range(40):
         x = F(rng.randint(1, 10 ** 30), rng.randint(1, 10 ** 20))
-        n = rng.choice(sorted(set(range(1, 13)) | set(_POW2_ORDERS)))
-        m, digits = rng.randint(1, 9), rng.randint(0, 25)
+        n, digits = rng.choice(_POW2_ORDERS), rng.randint(0, 25)
         assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
         assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
-        if F(m, n).denominator > 1:
-            assert pow_lower(x, F(m, n), digits) == _exact_lower(x ** m, n, digits)
-            assert pow_upper(x, F(m, n), digits) == _exact_upper(x ** m, n, digits)
 
 
 def test_pow2_cmp_doubling_stops_at_the_digit_budget(monkeypatch):
@@ -273,42 +227,17 @@ def test_pow2_cmp_doubling_stops_at_the_digit_budget(monkeypatch):
     precs = []
     bracket = roots._pow_bracket
     monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: precs.append(prec) or bracket(v, n, prec))
-    with pytest.raises(ToleranceUnachievableError, match="over the 2000-digit budget"):
+    with pytest.raises(ToleranceUnachievableError) as refused:
         pow_cmp(base, 2 ** l, x, max_digits=2000)
+    assert str(refused.value) == "8 squarings and products at 752-bit precision need 2353 digits, over the 2000-digit budget"
     assert len(set(precs)) > 1 and max(2 * l * p for p in precs) * 30103 // 100000 + 1 <= 2000
     assert pow_cmp(base, 2 ** l, x, max_digits=10 ** 6) == 0
     assert pow_cmp(base, 2 ** l, x) == 0  # the default budget
 
 
 def test_pow2_root_candidate_checks_the_budget_first(monkeypatch):
-    bracket = roots._pow_bracket
-
-    def guarded_bracket(v, n, prec):
-        # only the magnitude estimate of x^m, at the guard width, may precede the check
-        if prec > roots._GUARD_BITS:
-            pytest.fail("power taken over budget")
-        return bracket(v, n, prec)
-
-    monkeypatch.setattr(roots, "_pow_bracket", guarded_bracket)
+    monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: pytest.fail("power taken over budget"))
     monkeypatch.setattr(roots.math, "isqrt", lambda m: pytest.fail("square root taken over budget"))
-    for call in (
-        lambda: nth_root_lower(F(2), 2 ** 10, 50, max_digits=100),
-        lambda: nth_root_upper(F(2), 3 * 2 ** 10, 50, max_digits=100),
-        lambda: roots._grid_bound(F(3), 3, 50, 1001, False, 100),
-    ):
+    for root in (nth_root_lower, nth_root_upper):
         with pytest.raises(ToleranceUnachievableError):
-            call()
-
-
-@pytest.mark.parametrize("o", [1001, 5 ** 8, 3 ** 13])
-def test_odd_roots_of_large_order_take_few_powers(monkeypatch, o):
-    # general documents and closed_form_lower (delta = 3/5 gives order 5^k) take
-    # roots of large odd order; Newton steps from far above the root shrink it
-    # only by about (o-1)/o each, so the seed must start near the root or the
-    # number of powers grows with o
-    calls = []
-    bracket = roots._pow_bracket
-    monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: calls.append(n) or bracket(v, n, prec))
-    lower, upper = pow_lower(F(2), F(2, o), 20), pow_upper(F(2), F(2, o), 20)
-    assert 1 < lower and lower + F(1, 10 ** 20) == upper
-    assert len(calls) <= 400
+            root(F(2), 2 ** 10, 50, max_digits=100)

@@ -126,15 +126,25 @@ def _imported_names(node) -> set[str]:
     return {module} | {f"{module}.{a.name}" for a in node.names}
 
 
-def test_no_module_imports_cli():
-    # `python -m recgrow.cli` runs cli.py as __main__, so an import of recgrow.cli would compile it a second time
-    found = [
+def _importers(module: str) -> list[tuple[str, int]]:
+    """(file, line) of every import of the package module, at module level or inside a function."""
+    return [
         (path.name, node.lineno)
         for path in sorted(SOURCE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if "recgrow.cli" in _imported_names(node)
+        if module in _imported_names(node)
     ]
-    assert found == []
+
+
+def test_no_module_imports_cli():
+    # `python -m recgrow.cli` runs cli.py as __main__, so an import of recgrow.cli would compile it a second time
+    assert _importers("recgrow.cli") == []
+
+
+def test_only_growth_imports_roots():
+    # roots takes the 2^l-th roots that growth prints; test_startup sees only what a subcommand loads,
+    # so it would miss an import that only a library call makes
+    assert {name for name, _ in _importers("recgrow.roots")} == {"growth.py"}
 
 
 def _function(path: Path, name: str) -> ast.FunctionDef:
