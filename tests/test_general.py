@@ -184,6 +184,15 @@ def test_closed_form_matches_iteration():
             assert closed_form_lower(pn, z, k) == current
 
 
+@pytest.mark.parametrize("delta", [1, 2, 3])
+def test_closed_form_is_the_lower_envelope(delta):
+    # closed_form_lower(pn, d0, k) is L(k) of envelope(pn, d0, n) for every k <= n
+    pn = _pn(F(3, 2), 2, delta)
+    d0 = F(5, 4)
+    pair = envelope(pn, d0, 4)
+    assert [closed_form_lower(pn, d0, k) for k in range(5)] == list(pair.lower)
+
+
 def test_per_step_coefficient_tables():
     family = PowerFamily(power=2, alpha=(F(1), F(2)), beta=(F(0), F(1)))
     assert family.apply(0, F(3)) == 9

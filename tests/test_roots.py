@@ -111,7 +111,7 @@ def test_exact_roots_hit_the_grid_point():
     assert nth_root_lower(F(1, 16), 4, 4) == F(1, 2) == nth_root_upper(F(1, 16), 4, 4)
 
 
-@pytest.mark.parametrize("n", [0, 3, 12])
+@pytest.mark.parametrize("n", [-4, 0, 3, 12, 1023])
 def test_orders_other_than_powers_of_two_are_refused(n):
     with pytest.raises(ValueError, match=f"root order must be a power of two, got {n}"):
         pow_cmp(F(3, 2), n, F(2))
@@ -241,3 +241,33 @@ def test_pow2_root_candidate_checks_the_budget_first(monkeypatch):
     for root in (nth_root_lower, nth_root_upper):
         with pytest.raises(ToleranceUnachievableError):
             root(F(2), 2 ** 10, 50, max_digits=100)
+
+
+def _square_and_multiply_digits(n: int, prec: int, v_bits: int) -> tuple[int, int]:
+    """(steps, digits) that square-and-multiply charges for v^n, for any n >= 1.
+
+    Step i squares up to v^(2*(n >> i+1)) and, when bit i of n is set, multiplies
+    up to v^(n >> i); a step reaching v^k builds 2*min(prec, k*v_bits) bits.
+    """
+    charges = [
+        2 * min(prec, k * v_bits)
+        for i in range(n.bit_length() - 1)
+        for k in {2 * (n >> i + 1), n >> i}
+    ]
+    return len(charges), sum(charges) * 30103 // 100000 + 1
+
+
+@pytest.mark.parametrize("l", range(11))
+def test_budget_charges_the_squarings_of_square_and_multiply(l):
+    # for n = 2^l square-and-multiply takes l squarings and no product: the
+    # budget refuses at the same digit count, with the same words
+    n = 2 ** l
+    for prec, v_bits in [(64, 1), (90, 30), (128, 200), (2045, 7), (4910, 4910)]:
+        steps, need = _square_and_multiply_digits(n, prec, v_bits)
+        assert steps == l
+        roots._check_budget(need, prec, n, v_bits)
+        with pytest.raises(ToleranceUnachievableError) as refused:
+            roots._check_budget(need - 1, prec, n, v_bits)
+        assert str(refused.value) == (
+            f"{l} squarings and products at {prec}-bit precision need {need} digits, over the {need - 1}-digit budget"
+        )
