@@ -1,6 +1,6 @@
 """Command-line front end: parameter ingestion and report serialization.
 
-This module holds the option table ``_COMMANDS``, the exit codes and the dispatch.  A plain
+This module holds the option table ``_COMMANDS`` and the dispatch.  A plain
 ``COMMAND --option value ...`` line is read from the table directly; ``argparse`` builds its
 parser from the same table and is imported only for ``--help`` and usage errors.  Each handler
 lives in the home module the table names and returns a :class:`~recgrow.report.Report`, which
@@ -16,16 +16,12 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .errors import CapExceededError, CertificateError, InvalidParamsError, ToleranceUnachievableError
+from .errors import RecgrowError, _UsageError
 from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, MATRIX_DEFAULT_CAP
-from .report import _UsageError, _emit
+from .report import _emit
 from .serialize import parse_rational
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_INVALID_PARAMS = 2
-EXIT_CAP_OR_TOLERANCE = 3
-EXIT_CERTIFICATE = 4
 EXIT_BROKEN_PIPE = 141
 
 
@@ -173,7 +169,7 @@ def _handler(command: str):
 def run(argv) -> int:
     """Parse argv, execute, print the report; returns the process exit code.
 
-    The error's type alone picks the exit code; any other exception is a fault and propagates.
+    The error's class alone picks the exit code; any other exception is a fault and propagates.
     """
     argv = list(argv)
     try:
@@ -181,18 +177,9 @@ def run(argv) -> int:
         report = _handler(args.command)(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidParamsError as exc:
-        print(f"recgrow: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PARAMS
-    except (CapExceededError, ToleranceUnachievableError) as exc:
-        print(f"recgrow: {exc}", file=sys.stderr)
-        return EXIT_CAP_OR_TOLERANCE
-    except CertificateError as exc:
-        print(f"recgrow: certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+    except RecgrowError as exc:
+        print(f"{exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
     _emit(report, args.format)
     return EXIT_OK
 

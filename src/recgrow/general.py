@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InvalidParamsError
+from .errors import CapExceededError, InvalidParamsError
 from .recurrence import ValidationReport, as_fraction, check_cap
 from .report import Report, _read_document, _rows_report
 from .serialize import frac_str, parse_rational
@@ -179,6 +179,14 @@ def _cmd_general(args) -> Report:
     if d0 < 1:
         raise InvalidParamsError(f"seed must be >= 1, got {frac_str(d0)}")
     check_cap(args.n, args.cap)
+    # terms grow like power^n bits, not 2^n bits: refuse power^n > 2^cap before the orbit, never
+    # building a number past power * 2^cap
+    power, size = pn.family.power, 1
+    for _ in range(args.n):
+        size *= power
+        if (size - 1).bit_length() > args.cap:  # size > 2^cap
+            message = f"power^n_max={power}^{args.n} exceeds 2^cap=2^{args.cap}; term sizes grow like power^n bits"
+            raise CapExceededError(message)
     orbit = iterate_family(pn.family, d0, args.n)
     if min(orbit) < 1:  # the envelopes' induction uses the claim at z = D(n)
         raise InvalidParamsError("sandwich condition is only claimed for z >= 1")

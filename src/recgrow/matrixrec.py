@@ -103,11 +103,13 @@ def scalar_envelope(mp: MatrixParams, n_max: int, cap: int = MATRIX_DEFAULT_CAP)
 
 
 def _matrix_from_doc(doc: dict) -> MatrixParams:
-    return MatrixParams(
-        a=[[parse_rational(x) for x in row] for row in doc["a"]],
-        b=[[parse_rational(x) for x in row] for row in doc["b"]],
-        d0=[[parse_rational(x) for x in row] for row in doc["d0"]],
-    )
+    def matrix(key: str) -> list:
+        rows = doc[key]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):  # a string iterates too
+            raise TypeError(f"{key} must be a list of lists of rational strings")
+        return [[parse_rational(x) for x in row] for row in rows]
+
+    return MatrixParams(a=matrix("a"), b=matrix("b"), d0=matrix("d0"))
 
 
 def _matrix_strings(mat: Matrix) -> list:

@@ -15,11 +15,11 @@ only the handler it runs, since no bytecode cache may be at hand.
 
 from __future__ import annotations
 
-import io
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, _UsageError
 from .recurrence import Params, validate_params
 from .serialize import frac_str, json_chunks
 
@@ -29,24 +29,12 @@ SCHEMA_VERSION = 1
 _BATCH = 1 << 16
 
 
-class _UsageError(Exception):
-    pass
-
-
-class Report:
+class Report(
+    namedtuple("Report", "command params results csv_header csv_rows table_lines discrepancies", defaults=((), ()))
+):
     """One subcommand's output, renderable as table, json, or csv."""
 
-    __slots__ = ("command", "params", "results", "csv_header", "csv_rows", "table_lines", "discrepancies")
-
-    def __init__(self, command, params, results, csv_header, csv_rows, table_lines=(), discrepancies=()):
-        self.command, self.params, self.results = command, params, results
-        self.csv_header, self.csv_rows = csv_header, csv_rows
-        self.table_lines, self.discrepancies = list(table_lines), list(discrepancies)
-
-    def __eq__(self, other):
-        if type(other) is not Report:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+    __slots__ = ()
 
 
 def _render_json(report: Report):
@@ -61,15 +49,10 @@ def _render_json(report: Report):
 
 
 def _render_csv(report: Report):
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # no cell needs csv quoting: none holds a comma, quote or line break, and no row is one empty cell
+    # (cells are ints, bools, checked twins, frac_str and decimal_str text, matrix cells "1 0;0 1", names)
     for row in (report.csv_header, *report.csv_rows):
-        writer.writerow(row)
-        yield buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
+        yield ",".join(map(str, row)) + "\n"
 
 
 def _render_table(report: Report):

@@ -20,9 +20,9 @@ from decimal import MAX_EMAX, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from itertools import islice
 
-from .errors import CertificateError
+from .errors import CertificateError, _UsageError
 from .recurrence import Params, check_benchmark_regime, check_cap, evaluate, q_factor
-from .report import Report, _UsageError, _discrepancies_for, _params_dict, _params_from_args, _rows_report
+from .report import Report, _discrepancies_for, _params_dict, _params_from_args, _rows_report
 from .serialize import EXACT, TwinText, frac_str, to_decimal
 
 #: the prime of every residue check
@@ -131,8 +131,11 @@ def _power_over(t: tuple, f: Fraction, g: Fraction, k: int) -> tuple:
 
 def _ratio(b: Fraction, d: Fraction, act: tuple, lo: tuple, minus: int = 0) -> TwinText:
     """The checked twin of act / lo - minus, reduced by g as bounds reduces D(k+l) / lower: the reduced
-    parts times g are act_n*lo_d and act_d*lo_n, and each prime of g divides b_n*d_n or b_d*d_d."""
-    ((an, ad), (x, y)), ((ln, ld), (s, t)) = act, lo
+    parts times g are act_n*lo_d and act_d*lo_n, and each prime of g divides b_n*d_n or b_d*d_d.
+
+    act and lo are (twin, residues) pairs whose twins have passed the gate as TwinTexts."""
+    (at, (x, y)), (lt, (s, t)) = act, lo
+    an, ad, ln, ld = at.num, at.den, lt.num, lt.den
     wn, wd = b.numerator * d.numerator, b.denominator * d.denominator
     (xn, yn, gn), (xd, yd, gd) = twin_reduce(an, ln, wn), twin_reduce(ad, ld, wd)
     num, den, g = _times(xn, yd), _times(xd, yn), EXACT.multiply(gn, gd)
@@ -141,8 +144,7 @@ def _ratio(b: Fraction, d: Fraction, act: tuple, lo: tuple, minus: int = 0) -> T
         # the residues of the reduced parts are those of the unreduced parts over g
         inv = pow(gp, -1, P)
         return _text(twin, ((x * t - minus * y * s) * inv, y * s * inv), wn * wd)
-    # P divides g, so the residues are 0 modulo P: check act and lo part by part, then the ratio exactly
-    _text(*act), _text(*lo)
+    # P divides g, so the residues are 0 modulo P: act and lo passed the gate, so check the ratio exactly
     p, q = _times(an, ld), _times(ad, ln)
     if [EXACT.multiply(v, g) for v in twin] != [EXACT.subtract(p, q) if minus else p, q]:
         raise CertificateError(f"a {twin[0].adjusted() + 1}-digit decimal twin fails its exact check")
@@ -183,7 +185,8 @@ def _cmd_bounds(args) -> Report:
         for l, (p, r) in powers.items():
             (f, q), act = bases[l], orbit[k + l]
             lo, up = _power_over(p, f, b, k), _power_over(r, f * q, b * q, k)
-            lower, upper, actual, ratio = _text(*lo), _text(*up), _text(*act), _ratio(b, head[l], act, lo)
+            lower, upper, actual = _text(*lo), _text(*up), _text(*act)
+            ratio = _ratio(b, head[l], (actual, act[1]), (lower, lo[1]))
             # lower <= actual is ratio >= 1, and the ratio is reduced
             rows.append([k, l, frac_str(q), lower, upper, actual, ratio, ratio.num >= ratio.den and _le(actual, upper)])
     all_hold = all(r[-1] for r in rows)
@@ -207,7 +210,9 @@ def _cmd_converge(args) -> Report:
             p, qk = _square(p), _square(qk)
         # x - 1 of the reduced x = Q^(2^k) / Q stays reduced
         (gn, gd), (qn, qd) = _power_over(qk, q, q, k)
-        ratio = _ratio(b, head[l], act, _power_over(p, f, b, k), minus=1)
+        # where P divides g, _ratio's exact check trusts act and lo, so both pass the gate though neither prints
+        lo = _power_over(p, f, b, k)
+        ratio = _ratio(b, head[l], (_text(*act), act[1]), (_text(*lo), lo[1]), minus=1)
         rows.append([l, ratio, _text((EXACT.subtract(gn, gd), gd), (qn - qd, qd))])
     return _rows_report("converge", _params_dict(params), ("l", "ratio_minus_1", "gap"), rows, "rows", {"k": k})
 

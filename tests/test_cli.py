@@ -10,9 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recgrow.cli as cli
+import recgrow.general as general_mod
 import recgrow.growth as growth_mod
+import recgrow.twins as twins_mod
 from recgrow import DEFAULT_CAP, MATRIX_DEFAULT_CAP, Params, evaluate, q_factor, term_count
 from recgrow.cli import _COMMANDS, _read, build_parser, run
+from recgrow.errors import (
+    CapExceededError,
+    CertificateError,
+    InvalidParamsError,
+    NonIntegerParamsError,
+    RecgrowError,
+    ToleranceUnachievableError,
+    _UsageError,
+)
 from recgrow.serialize import parse_rational
 
 F = Fraction
@@ -234,6 +245,35 @@ def test_general_cap_exit_3(tmp_path, capsys):
     assert "cap=30" in capsys.readouterr().err
 
 
+class _OrbitReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "power, n, cap, refused",
+    [(10**20, 3, 30, True), (10**20, 1, 66, True), (10**20, 1, 67, False), (3, 18, 30, False), (3, 19, 30, True),
+     (4, 15, 30, False), (4, 16, 30, True)],
+)
+def test_general_power_cap_is_checked_before_the_orbit(power, n, cap, refused, tmp_path, monkeypatch, capsys):
+    # terms grow like power^n bits, so the cap refuses power^n > 2^cap; an orbit past it would not finish
+    doc_path = tmp_path / "family.json"
+    doc = {"c1": "1", "c2": "2", "delta": str(power - 1), "power": power, "alpha": "1", "beta": "1", "d0": "2"}
+    doc_path.write_text(json.dumps(doc))
+
+    def orbit(*args):
+        raise _OrbitReached
+
+    monkeypatch.setattr(general_mod, "iterate_family", orbit)
+    argv = ["general", "--file", str(doc_path), "--n", str(n), "--cap", str(cap)]
+    if not refused:
+        with pytest.raises(_OrbitReached):
+            run(argv)
+        return
+    assert run(argv) == 3
+    message = f"recgrow: power^n_max={power}^{n} exceeds 2^cap=2^{cap}; term sizes grow like power^n bits\n"
+    assert capsys.readouterr() == ("", message)
+
+
 def test_matrix_command(tmp_path, capsys):
     doc_path = tmp_path / "matrix.json"
     eye = [["1", "0"], ["0", "1"]]
@@ -329,6 +369,35 @@ def test_certificate_failure_exit_4(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("recgrow: certificate failure: ")
 
+
+#: every failure class, the exit code it names and the stderr line it prints for the message "m"
+_FAILURES = [
+    (_UsageError, 1, "m\n"),
+    (InvalidParamsError, 2, "recgrow: invalid parameters: m\n"),
+    (NonIntegerParamsError, 2, "recgrow: m\n"),
+    (CapExceededError, 3, "recgrow: m\n"),
+    (ToleranceUnachievableError, 3, "recgrow: m\n"),
+    (CertificateError, 4, "recgrow: certificate failure: m\n"),
+]
+
+
+@pytest.mark.parametrize("cls, code, err", _FAILURES, ids=[cls.__name__ for cls, *_ in _FAILURES])
+def test_each_failure_class_exits_with_its_code(cls, code, err, monkeypatch, capsys):
+    def fail(args):
+        raise cls("m")
+
+    monkeypatch.setattr(twins_mod, "_cmd_eval", fail)
+    assert run(["eval", "--a", "1", "--b", "1", "--n", "3"]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_every_failure_class_names_a_code():
+    # a class left out of _FAILURES would reach run untested; a new one must say what it exits with
+    found, pending = set(), [RecgrowError]
+    while pending:
+        found |= set(subclasses := pending.pop().__subclasses__())
+        pending += subclasses
+    assert found == {cls for cls, *_ in _FAILURES}
 
 
 def test_huge_rtol_error_renders_exactly():

@@ -18,6 +18,10 @@ import recgrow.report as report_mod
 from recgrow.serialize import TwinText
 
 _BOUNDS_9 = "bounds --a 1 --b 1 --kmax 9 --lmax 9 --format json"  # 1,308,034 bytes
+_DOCUMENTS = {
+    "family.json": {"c1": "1", "c2": "2", "delta": "1", "power": 2, "alpha": "1", "beta": "1", "d0": "2"},
+    "matrix.json": {"a": [["1", "0"], ["0", "1"]], "b": [["1/2", "1"], ["0", "1"]], "d0": [["1", "0"], ["0", "1"]]},
+}
 
 
 def _report(command: str):
@@ -55,10 +59,18 @@ def _emit(report, fmt: str, keep: bool, monkeypatch) -> _Stdout:
         "bounds --a 1/2 --b 1/2 --d0 35/2 --kmax 4 --lmax 4 --format csv",
         "bounds --a 1 --b 1 --kmax 6 --lmax 6 --format table",
         "ns --d 3 --n 4 --format json",
+        "converge --a 3/7 --b 5/3 --d0 11/5 --k 3 --lmax 4 --format csv",
+        "benchmark --a 1 --b 1 --n 6 --format csv",
+        "growth --a 1 --b 9 --l 8 --loglog-n 12 --format csv",
+        "general --file {tmp}/family.json --n 6 --format csv",
+        "matrix --file {tmp}/matrix.json --n 4 --format csv",
+        "ns --d 3 --n 4 --budget 1000000 --format csv",
     ],
 )
-def test_writes_are_bounded_batches_of_the_canonical_document(command, monkeypatch):
-    report, fmt = _report(command)
+def test_writes_are_bounded_batches_of_the_canonical_document(command, tmp_path, monkeypatch):
+    for name, doc in _DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    report, fmt = _report(command.format(tmp=tmp_path))
     writes = _emit(report, fmt, True, monkeypatch).writes
     text = "".join(writes)
     if fmt == "json":

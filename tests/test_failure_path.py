@@ -165,6 +165,9 @@ BAD_DOCUMENTS = {
     "short beta": ("general", {**_FAMILY, "beta": ["1", "1", "1"]}, "beta has 3 entries, fewer than --n 4"),
     "number entry": ("matrix", {**_MATRIX, "a": [[1]]}, "expected a rational string, got int"),
     "zero denominator entry": ("matrix", {**_MATRIX, "d0": [["1/0"]]}, "Fraction(1, 0)"),
+    # a string iterates as its characters, so "2" would be read as [[2]] and ["1/2"] as [["1", "/", "2"]]
+    "string matrices": ("matrix", {**_MATRIX, "b": "2", "d0": "3"}, "b must be a list of lists of rational strings"),
+    "flat matrix": ("matrix", {**_MATRIX, "a": ["1/2"]}, "a must be a list of lists of rational strings"),
 }
 
 

@@ -81,6 +81,11 @@ def test_no_dataclasses_in_package_source():
     assert _imports_of("dataclasses") == []
 
 
+def test_no_csv_in_package_source():
+    # no report cell needs quoting, so a comma join writes the same csv without importing the module
+    assert _imports_of("csv") == []
+
+
 def test_no_mpmath_imports_in_package_source():
     # mpmath is an independent oracle for the tests and the benchmark, not a runtime dependency
     assert _imports_of("mpmath") == []

@@ -3,6 +3,7 @@ the library's Fraction of the same value and passes perfbench's independent orac
 and a twin that fails its residue check stops the CLI with exit code 4."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -271,6 +272,34 @@ def test_ratio_from_a_faulty_reduction_exits_4(command, fault, capsys, monkeypat
 
     monkeypatch.setattr(twins, "twin_reduce", faulty)
     assert cli.run(command.split()) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("recgrow: certificate failure: ")
+
+
+def test_bounds_gates_each_twin_once(monkeypatch, capsys):
+    # where P divides the gcd of the ratio, the ratio's exact check reads act and lo as the row printed
+    # them, so each of the 9 rows gates its lower, upper, actual and ratio, and nothing twice
+    text, calls = twins._text, []
+    monkeypatch.setattr(twins, "_text", lambda *args: calls.append(args) or text(*args))
+    assert cli.run(f"bounds --a {P} --b 1/{P} --kmax 3 --lmax 3".split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (len(calls), digest) == (36, "0f3b51d2cdeb226e39faeaf7ed289cf433bc31c771dbd1874124ba50f63274a7")
+
+
+@pytest.mark.parametrize("abd", ["--a 1 --b 1", f"--a {P} --b 1/{P} --d0 3/2"])
+@pytest.mark.parametrize("part", [0, 1])
+def test_converge_checks_the_lower_bound_it_does_not_print(abd, part, capsys, monkeypatch):
+    # with P dividing the gcd of the ratio, the ratio's exact check agrees with a faulty lower bound,
+    # so converge must gate it; the gap's power Q^(2^k) / Q is left whole
+    power_over = twins._power_over
+
+    def faulty(t, f, g, k):
+        twin, r = power_over(t, f, g, k)
+        return (tuple(EXACT.add(x, 1) if i == part else x for i, x in enumerate(twin)) if f != g else twin), r
+
+    monkeypatch.setattr(twins, "_power_over", faulty)
+    assert cli.run(f"converge {abd} --k 2 --lmax 2".split()) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("recgrow: certificate failure: ")
