@@ -134,7 +134,7 @@ def _read_document(path: str, kind: str, build):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise _UsageError(f"cannot read JSON document {path}: {exc}")
     if not isinstance(doc, dict):
         raise _UsageError(f"JSON document {path} must contain an object")

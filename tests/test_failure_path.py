@@ -79,10 +79,21 @@ INVALID = {
         {**_MATRIX, "b": [["-1"]]},
         "recgrow: invalid parameters: matrix b has a negative entry\n",
     ),
-    # two claims that hold at every orbit value but not for every z >= 1: z^2 + 1 outgrows 10^50 * z^(3/2)
-    # past z = 10^100, and (z^2 + 1)/z^2 = 1 + z^-2 falls to 1, below C1, as z grows
+    # claims that hold at every orbit value but not for every z >= 1: z^2 + 1 outgrows 10^50 * z^(3/2)
+    # past z = 10^100 (and 10^50 * z^(8/5) later), even at --n 0, where no step is taken; and
+    # (z^2 + 1)/z^2 = 1 + z^-2 falls to 1, below C1, as z grows
     "power = 1+delta": (
         ["general", "--file", "doc", "--n", "3"],
+        {**_FAMILY, "c2": str(10**50), "delta": "1/2"},
+        "recgrow: invalid parameters, failed condition(s): power = 1+delta\n",
+    ),
+    "delta = 3/5": (
+        ["general", "--file", "doc", "--n", "3"],
+        {**_FAMILY, "c2": str(10**50), "delta": "3/5"},
+        "recgrow: invalid parameters, failed condition(s): power = 1+delta\n",
+    ),
+    "no step taken": (
+        ["general", "--file", "doc", "--n", "0"],
         {**_FAMILY, "c2": str(10**50), "delta": "1/2"},
         "recgrow: invalid parameters, failed condition(s): power = 1+delta\n",
     ),
@@ -177,6 +188,16 @@ def test_bad_document_exits_1(case, tmp_path, capsys):
     kind = {"general": "nonlinearity", "matrix": "matrix"}[command]
     assert run(_argv(tmp_path, [command, "--file", "doc", "--n", "4"], doc)) == 1
     assert capsys.readouterr() == ("", f"bad {kind} document: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["general", "matrix"])
+def test_deeply_nested_document_exits_1(command, tmp_path, capsys):
+    # json's decoder recurses once per bracket: too deep a document is unreadable, not a fault
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run([command, "--file", str(path), "--n", "3"]) == 1
+    message = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+    assert capsys.readouterr() == ("", f"cannot read JSON document {path}: {message}\n")
 
 
 @pytest.mark.parametrize("power", [3, "3", " 3 ", "0_3"])

@@ -91,6 +91,17 @@ def test_no_mpmath_imports_in_package_source():
     assert _imports_of("mpmath") == []
 
 
+def test_only_the_golden_replays_hash_output():
+    # an output digest is a record of tests/goldens.json, or of perfbench/goldens.json for the benchmark
+    hashing = {
+        path.name
+        for path in Path(__file__).resolve().parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if any(name.split(".")[0] == "hashlib" for name in _imported_names(node))
+    }
+    assert hashing == {"test_goldens.py", "test_perfbench_gate.py"}
+
+
 def test_cli_imports_no_subcommand_module():
     path = SOURCE / "cli.py"
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -3,7 +3,6 @@ the library's Fraction of the same value and passes perfbench's independent orac
 and a twin that fails its residue check stops the CLI with exit code 4."""
 
 import contextlib
-import hashlib
 import io
 import itertools
 import json
@@ -22,6 +21,7 @@ import recgrow.twins as twins
 from recgrow import Params, certify, compare_to_benchmark, convergence_profile, evaluate, is_monotone
 from recgrow.serialize import EXACT, TwinText, frac_str
 from recgrow.twins import P
+from test_goldens import COMMANDS, replay
 
 # perfbench's oracle shares no code with recgrow: a plain Fraction loop and cross-multiplied comparisons
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -277,14 +277,13 @@ def test_ratio_from_a_faulty_reduction_exits_4(command, fault, capsys, monkeypat
     assert captured.err.startswith("recgrow: certificate failure: ")
 
 
-def test_bounds_gates_each_twin_once(monkeypatch, capsys):
+def test_bounds_gates_each_twin_once(monkeypatch, tmp_path):
     # where P divides the gcd of the ratio, the ratio's exact check reads act and lo as the row printed
     # them, so each of the 9 rows gates its lower, upper, actual and ratio, and nothing twice
     text, calls = twins._text, []
     monkeypatch.setattr(twins, "_text", lambda *args: calls.append(args) or text(*args))
-    assert cli.run(f"bounds --a {P} --b 1/{P} --kmax 3 --lmax 3".split()) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (len(calls), digest) == (36, "0f3b51d2cdeb226e39faeaf7ed289cf433bc31c771dbd1874124ba50f63274a7")
+    command = f"bounds --a {P} --b 1/{P} --kmax 3 --lmax 3 --format table"
+    assert (replay(command, tmp_path), len(calls)) == (COMMANDS[command], 36)
 
 
 @pytest.mark.parametrize("abd", ["--a 1 --b 1", f"--a {P} --b 1/{P} --d0 3/2"])
