@@ -91,6 +91,14 @@ def test_no_mpmath_imports_in_package_source():
     assert _imports_of("mpmath") == []
 
 
+def test_loglog_imports_neither_decimal_nor_serialize():
+    # the log-log passes take ln in ints: the first Context.ln call of a process paged in enough of
+    # _decimal's code to set the peak RSS of a `growth --loglog-n` run
+    path = SOURCE / "loglog.py"
+    names = {name for node in ast.walk(ast.parse(path.read_text(), filename=str(path))) for name in _imported_names(node)}
+    assert {name for name in names if name.split(".")[0] == "decimal" or name.startswith("recgrow.serialize")} == set()
+
+
 def test_only_the_golden_replays_hash_output():
     # an output digest is a record of tests/goldens.json, or of perfbench/goldens.json for the benchmark
     hashing = {
