@@ -44,22 +44,13 @@ class GrowthEnclosure(namedtuple("GrowthEnclosure", "l c_lo c_hi digits")):
 
 
 def digits_for(target: Fraction) -> int:
-    """Smallest s >= 0 with 10^-s <= target (target > 0).
-
-    Bit-length estimate first, then exact adjustment, so the answer is
-    correct even when the estimate is off by one.
-    """
+    """Smallest s >= 0 with 10^-s <= target (target > 0)."""
     if target <= 0:
         raise ValueError("target must be positive")
     if target >= 1:
         return 0
-    inv = 1 / target
-    s = max(0, (inv.numerator.bit_length() - inv.denominator.bit_length()) * 30103 // 100000 - 1)
-    while Fraction(1, 10 ** s) > target:
-        s += 1
-    while s > 0 and Fraction(1, 10 ** (s - 1)) <= target:
-        s -= 1
-    return s
+    # 10^s >= 1/target exactly when 10^s >= N = ceil(1/target) >= 2, an integer: s is the digit count of N - 1
+    return len(frac_str(-(-target.denominator // target.numerator) - 1))
 
 
 def growth_enclosure(
@@ -75,7 +66,8 @@ def growth_enclosure(
     grid is additionally refined below the bracket's own width so the
     reported interval tracks the true one instead of the rounding floor.
     Every root and comparison pass is held to max_digits decimal digits, each
-    refused by ToleranceUnachievableError before it starts.
+    refused by ToleranceUnachievableError before it starts; D(l) is built
+    first, bounded only by ``cap`` (see ROADMAP item 6).
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -85,22 +77,22 @@ def growth_enclosure(
     if not MIN_RTOL <= rt < 1:
         raise InvalidParamsError(f"rtol must lie in [{MIN_RTOL}, 1), got {frac_str(rt)}")
     table = evaluate(params, l, cap=cap)
-    m = 2 ** l
     x_lo = params.b * table[l]
     q = q_factor(params, table, l)
     x_hi = x_lo * q
 
     # coarse pass only to learn the root's magnitude; never 0, since
     # b*D(l) = ab + b^2*D(l-1)^2 > ab >= 1/4 puts the root above 1/2
-    c0 = nth_root_lower(x_lo, m, 8, max_digits)
-    # grid below both the tolerance and the bracket width c*ln(Q)/m, estimated
+    c0 = nth_root_lower(x_lo, l, 8, max_digits)
+    # grid below both the tolerance and the bracket width c*ln(Q)/2^l, estimated
     # from below via ln(Q) >= (Q-1)/Q; keeps rounding from dominating the width
-    target = min(rt * c0 / 2, c0 * (q - 1) / (q * m) / 20)
+    target = min(rt * c0 / 2, c0 * (q - 1) / (q * 2 ** l) / 20)
     s = digits_for(target)
-    c_lo = nth_root_lower(x_lo, m, s, max_digits)
-    c_hi = nth_root_upper(x_hi, m, s, max_digits)
-    # the containment contract, checked again on the returned endpoints
-    if not (pow_cmp(c_lo, m, x_lo, max_digits=max_digits) <= 0 and pow_cmp(c_hi, m, x_hi, max_digits=max_digits) >= 0):
+    c_lo = nth_root_lower(x_lo, l, s, max_digits)
+    c_hi = nth_root_upper(x_hi, l, s, max_digits)
+    # the containment contract, decided here on the returned endpoints: the roots rest part of it
+    # on the candidate's proven bracket, not on a comparison
+    if not (pow_cmp(c_lo, l, x_lo, max_digits=max_digits) <= 0 and pow_cmp(c_hi, l, x_hi, max_digits=max_digits) >= 0):
         raise CertificateError(f"[{frac_str(c_lo)}, {frac_str(c_hi)}] does not enclose the 2^{l}-th root bracket")
     if not Fraction(1, 10 ** s) <= rt * c_lo:
         raise CertificateError(f"grid 10^-{s} is coarser than rtol={frac_str(rt)} at c_lo={frac_str(c_lo)}")

@@ -361,7 +361,7 @@ def test_certificate_failure_exit_4(capsys, monkeypatch):
     # a c_hi one grid step low breaks the enclosure: a library fault, not bad input
     upper = growth_mod.nth_root_upper
     monkeypatch.setattr(
-        growth_mod, "nth_root_upper", lambda x, n, digits, max_digits: upper(x, n, digits, max_digits) - F(1, 10**digits)
+        growth_mod, "nth_root_upper", lambda x, l, digits, max_digits: upper(x, l, digits, max_digits) - F(1, 10**digits)
     )
     assert run(["growth", "--a", "1", "--b", "1", "--l", "3"]) == 4
     captured = capsys.readouterr()

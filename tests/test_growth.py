@@ -21,6 +21,8 @@ from recgrow import (
     log_log_index,
     q_factor,
 )
+import recgrow.growth as growth_mod
+import recgrow.roots as roots
 from recgrow.cli import run
 from recgrow.roots import nth_root_lower
 
@@ -54,6 +56,17 @@ def test_root_certification_by_re_exponentiation():
             assert enc.c_lo ** (2 ** l) <= x_lo
             assert enc.c_hi ** (2 ** l) >= x_hi
             assert F(1, 10 ** enc.digits) <= F("1e-10") * enc.c_lo
+
+
+@pytest.mark.parametrize("l", range(1, 11))
+@pytest.mark.parametrize("params", [Params(1, 1), Params(F(3, 7), F(5, 3), F(11, 5))])
+def test_an_enclosure_makes_six_comparisons(params, l, monkeypatch):
+    # through either module's binding: 1 for the coarse pass, 1 for c_lo, 2 for c_hi and the 2 re-checks
+    compare, calls = roots.pow_cmp, []
+    monkeypatch.setattr(roots, "pow_cmp", lambda *args, **kw: calls.append(args) or compare(*args, **kw))
+    monkeypatch.setattr(growth_mod, "pow_cmp", roots.pow_cmp)
+    growth_enclosure(params, l, "1e-12")
+    assert len(calls) == 6
 
 
 def test_enclosure_nesting_and_width_decay():
@@ -281,7 +294,7 @@ def test_coarse_root_is_at_least_one_half(b, extra, d0, l):
     # retry: b*D(l) > ab >= 1/4 for l >= 1, so that root is never 0
     params = Params(1 / (4 * b) + extra, b, d0)
     x = b * evaluate(params, l)[l]
-    assert nth_root_lower(x, 2 ** l, 8) >= F(1, 2)
+    assert nth_root_lower(x, l, 8) >= F(1, 2)
 
 
 _BAD_UPPER_ROOT = """
@@ -291,7 +304,7 @@ from recgrow import CertificateError, Params
 
 assert not __debug__
 upper = growth.nth_root_upper
-growth.nth_root_upper = lambda x, n, digits, max_digits: upper(x, n, digits, max_digits) - Fraction(1, 10 ** digits)
+growth.nth_root_upper = lambda x, l, digits, max_digits: upper(x, l, digits, max_digits) - Fraction(1, 10 ** digits)
 try:
     growth.growth_enclosure(Params(1, 1), 3, "1e-9")
 except CertificateError:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import recgrow.roots as roots
@@ -98,26 +98,17 @@ def test_rational_root_brackets():
     rng = random.Random(12)
     for _ in range(60):
         x = F(rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 6))
-        n = rng.choice([2, 4, 8])
+        l = rng.choice([1, 2, 3])
         digits = rng.randint(1, 25)
-        lo = nth_root_lower(x, n, digits)
-        hi = nth_root_upper(x, n, digits)
-        assert lo ** n <= x <= hi ** n
+        lo = nth_root_lower(x, l, digits)
+        hi = nth_root_upper(x, l, digits)
+        assert lo ** 2 ** l <= x <= hi ** 2 ** l
         assert hi - lo <= 2 * F(1, 10 ** digits)
 
 
 def test_exact_roots_hit_the_grid_point():
-    assert nth_root_lower(F(25), 2, 6) == 5 == nth_root_upper(F(25), 2, 6)
-    assert nth_root_lower(F(1, 16), 4, 4) == F(1, 2) == nth_root_upper(F(1, 16), 4, 4)
-
-
-@pytest.mark.parametrize("n", [-4, 0, 3, 12, 1023])
-def test_orders_other_than_powers_of_two_are_refused(n):
-    with pytest.raises(ValueError, match=f"root order must be a power of two, got {n}"):
-        pow_cmp(F(3, 2), n, F(2))
-    for root in (nth_root_lower, nth_root_upper):
-        with pytest.raises(ValueError, match=f"root order must be a power of two, got {n}"):
-            root(F(2), n, 5)
+    assert nth_root_lower(F(25), 1, 6) == 5 == nth_root_upper(F(25), 1, 6)
+    assert nth_root_lower(F(1, 16), 2, 4) == F(1, 2) == nth_root_upper(F(1, 16), 2, 4)
 
 
 def test_digits_for():
@@ -144,15 +135,12 @@ def _exact_upper(x, n, digits):
     return F(ceil_nth_root(ceil_scaled, n), scale)
 
 
-#: The orders 2^l, l <= 9, that growth takes.
-_POW2_ORDERS = [2 ** l for l in range(10)]
-
-
 @st.composite
 def _root_cases(draw):
-    """(x, n, digits) with n = 2^l, l <= 9: random rationals, and values
-    x = t^n whose root t is a grid point, nudged by a tiny amount or not at all."""
-    n = draw(st.sampled_from(_POW2_ORDERS))
+    """(x, l, digits) with l <= 9: random rationals, and values x = t^(2^l)
+    whose root t is a grid point, nudged by a tiny amount or not at all."""
+    l = draw(st.integers(0, 9))
+    n = 2 ** l
     digits = draw(st.integers(0, 30))
     magnitude = st.integers(0, 40).map(lambda k: 10 ** k)
     if draw(st.booleans()):
@@ -161,15 +149,34 @@ def _root_cases(draw):
         t = F(draw(st.integers(0, 10 ** (digits + 3))), 10 ** digits)
         nudge = draw(st.sampled_from([-1, 0, 1])) * F(1, draw(magnitude))
         x = max(F(0), t ** n + nudge)
-    return x, n, digits
+    return x, l, digits
 
 
 @settings(max_examples=400, deadline=None)
 @given(_root_cases())
 def test_pow2_roots_match_exact_radicand(case):
-    x, n, digits = case
-    assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
-    assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
+    x, l, digits = case
+    assert nth_root_lower(x, l, digits) == _exact_lower(x, 2 ** l, digits)
+    assert nth_root_upper(x, l, digits) == _exact_upper(x, 2 ** l, digits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_root_cases())
+@example((F(1, 5) ** 2 ** 3, 3, 4))  # an exact power, where the candidate lands one below
+@example((F(2), 3, 4))
+def test_root_candidate_is_the_floor_or_one_below(case):
+    # the proven bracket rho - 2 < r <= rho, against the exact oracle's floor(rho)
+    x, l, digits = case
+    floor_rho = _exact_lower(x, 2 ** l, digits) * 10 ** digits
+    r = roots._root_candidate(x, l, digits, roots.DEFAULT_MAX_DIGITS)
+    assert floor_rho - 1 <= r <= floor_rho
+
+
+@pytest.mark.parametrize("x, candidate, floor", [(F(1, 5) ** 2 ** 3, 1999, 2000), (F(2), 10905, 10905)])
+def test_floor_point_takes_both_outcomes_of_the_decision(x, candidate, floor):
+    # an exact power's candidate lands one below the floor, 2^(1/8)'s on it; one comparison tells which
+    assert roots._root_candidate(x, 3, 4, roots.DEFAULT_MAX_DIGITS) == candidate
+    assert roots._floor_point(x, 3, 4, roots.DEFAULT_MAX_DIGITS) == floor == _exact_lower(x, 8, 4) * 10 ** 4
 
 
 def test_exact_hits_of_large_powers_stop_doubling_at_the_exact_size(monkeypatch):
@@ -177,9 +184,9 @@ def test_exact_hits_of_large_powers_stop_doubling_at_the_exact_size(monkeypatch)
     # next doubling past it
     precs = []
     bracket = roots._pow_bracket
-    monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: precs.append(prec) or bracket(v, n, prec))
+    monkeypatch.setattr(roots, "_pow_bracket", lambda v, l, prec: precs.append(prec) or bracket(v, l, prec))
     base = F(123456789, 10 ** 9)
-    assert pow_cmp(base, 2 ** 8, base ** (2 ** 8)) == 0
+    assert pow_cmp(base, 8, base ** (2 ** 8)) == 0
     assert max(precs) == 2 ** 8 * 30  # 30 = bits of the larger of 123456789 and 10^9
 
 
@@ -188,34 +195,18 @@ def test_pow2_exact_hits_are_decided_exactly(l):
     n = 2 ** l
     for base in (F(3, 2), F(1, 5), F(1)):
         x = base ** n
-        assert pow_cmp(base, n, x) == 0
+        assert pow_cmp(base, l, x) == 0
         nudge = x / 10 ** 50
-        assert pow_cmp(base, n, x + nudge) == -1
-        assert pow_cmp(base, n, x - nudge) == 1
+        assert pow_cmp(base, l, x + nudge) == -1
+        assert pow_cmp(base, l, x - nudge) == 1
         for digits in (1, 2, 17):
-            assert nth_root_lower(x, n, digits) == base == nth_root_upper(x, n, digits)
+            assert nth_root_lower(x, l, digits) == base == nth_root_upper(x, l, digits)
     for digits in (0, 5):
-        assert nth_root_lower(F(0), n, digits) == 0 == nth_root_upper(F(0), n, digits)
+        assert nth_root_lower(F(0), l, digits) == 0 == nth_root_upper(F(0), l, digits)
         # root 10^-60, below one grid step
         tiny = F(1, 10 ** (60 * n))
-        assert nth_root_lower(tiny, n, digits) == 0
-        assert nth_root_upper(tiny, n, digits) == F(1, 10 ** digits)
-
-
-@pytest.mark.parametrize("offset", [-3, 3])
-def test_pow2_roots_recover_from_a_bad_candidate(monkeypatch, offset):
-    candidate = roots._root_candidate
-    monkeypatch.setattr(
-        roots,
-        "_root_candidate",
-        lambda x, n, digits, max_digits: max(0, candidate(x, n, digits, max_digits) + offset),
-    )
-    rng = random.Random(7)
-    for _ in range(40):
-        x = F(rng.randint(1, 10 ** 30), rng.randint(1, 10 ** 20))
-        n, digits = rng.choice(_POW2_ORDERS), rng.randint(0, 25)
-        assert nth_root_lower(x, n, digits) == _exact_lower(x, n, digits)
-        assert nth_root_upper(x, n, digits) == _exact_upper(x, n, digits)
+        assert nth_root_lower(tiny, l, digits) == 0
+        assert nth_root_upper(tiny, l, digits) == F(1, 10 ** digits)
 
 
 def test_pow2_cmp_doubling_stops_at_the_digit_budget(monkeypatch):
@@ -226,21 +217,21 @@ def test_pow2_cmp_doubling_stops_at_the_digit_budget(monkeypatch):
     x = base ** (2 ** l)
     precs = []
     bracket = roots._pow_bracket
-    monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: precs.append(prec) or bracket(v, n, prec))
+    monkeypatch.setattr(roots, "_pow_bracket", lambda v, l, prec: precs.append(prec) or bracket(v, l, prec))
     with pytest.raises(ToleranceUnachievableError) as refused:
-        pow_cmp(base, 2 ** l, x, max_digits=2000)
+        pow_cmp(base, l, x, max_digits=2000)
     assert str(refused.value) == "8 squarings and products at 752-bit precision need 2353 digits, over the 2000-digit budget"
     assert len(set(precs)) > 1 and max(2 * l * p for p in precs) * 30103 // 100000 + 1 <= 2000
-    assert pow_cmp(base, 2 ** l, x, max_digits=10 ** 6) == 0
-    assert pow_cmp(base, 2 ** l, x) == 0  # the default budget
+    assert pow_cmp(base, l, x, max_digits=10 ** 6) == 0
+    assert pow_cmp(base, l, x) == 0  # the default budget
 
 
 def test_pow2_root_candidate_checks_the_budget_first(monkeypatch):
-    monkeypatch.setattr(roots, "_pow_bracket", lambda v, n, prec: pytest.fail("power taken over budget"))
+    monkeypatch.setattr(roots, "_pow_bracket", lambda v, l, prec: pytest.fail("power taken over budget"))
     monkeypatch.setattr(roots.math, "isqrt", lambda m: pytest.fail("square root taken over budget"))
     for root in (nth_root_lower, nth_root_upper):
         with pytest.raises(ToleranceUnachievableError):
-            root(F(2), 2 ** 10, 50, max_digits=100)
+            root(F(2), 10, 50, max_digits=100)
 
 
 def _square_and_multiply_digits(n: int, prec: int, v_bits: int) -> tuple[int, int]:
@@ -265,9 +256,9 @@ def test_budget_charges_the_squarings_of_square_and_multiply(l):
     for prec, v_bits in [(64, 1), (90, 30), (128, 200), (2045, 7), (4910, 4910)]:
         steps, need = _square_and_multiply_digits(n, prec, v_bits)
         assert steps == l
-        roots._check_budget(need, prec, n, v_bits)
+        roots._check_budget(need, prec, l, v_bits)
         with pytest.raises(ToleranceUnachievableError) as refused:
-            roots._check_budget(need - 1, prec, n, v_bits)
+            roots._check_budget(need - 1, prec, l, v_bits)
         assert str(refused.value) == (
             f"{l} squarings and products at {prec}-bit precision need {need} digits, over the {need - 1}-digit budget"
         )
