@@ -1,8 +1,9 @@
 """Command-line front end: parameter ingestion and report serialization.
 
 This module holds the option table ``_COMMANDS`` and the dispatch.  A plain
-``COMMAND --option value ...`` line is read from the table directly; ``argparse`` builds its
-parser from the same table and is imported only for ``--help`` and usage errors.  Each handler
+``COMMAND --option value ...`` line is read from the table directly; any other line (``--help``,
+a usage error) goes to the ``argparse`` parser that :func:`recgrow.inputs.build_parser` builds
+from the same table, and only such a line imports that module and ``argparse``.  Each handler
 lives in the home module the table names and returns a :class:`~recgrow.report.Report`, which
 is streamed to stdout in batches of at most 64 KiB once every check has run.  Exit codes: 0
 success, 1 usage error, 2 invalid parameters, 3 cap or tolerance failure, 4 certificate failure
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .errors import RecgrowError, _UsageError
+from .errors import RecgrowError
 from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, MATRIX_DEFAULT_CAP
 from .report import _emit
 from .serialize import parse_rational
@@ -55,7 +56,7 @@ def _int_at_least(low: int):
 _nonneg_int, _pos_int = _int_at_least(0), _int_at_least(1)
 
 
-# the option table, read by _read and by build_parser: an option is (flag, its add_argument keywords),
+# the option table, read by _read and by inputs.build_parser: an option is (flag, its add_argument keywords),
 # and its dest is the flag's, as argparse derives it
 _AB = (
     ("--a", dict(type=_rational, required=True, help="additive constant, exact rational")),
@@ -137,30 +138,6 @@ def _read(argv: list) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def build_parser():
-    """The argparse parser of the option table: help, usage errors and every command line _read declines."""
-    import argparse
-    import re
-
-    class _ArgumentParser(argparse.ArgumentParser):
-        # no option looks like a negative number, so -1/2 and -1e3 are values, not unknown options (argparse: -1, -.5)
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self._negative_number_matcher = re.compile(r"-\.?\d")
-
-        # argparse exits 2 on usage problems; this CLI reserves 2 for invalid parameters, so usage errors become 1
-        def error(self, message):
-            raise _UsageError(f"{self.prog}: error: {message}")
-
-    parser = _ArgumentParser(prog="recgrow", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for command, (_, help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for flag, kw in options:
-            p.add_argument(flag, **kw)
-    return parser
-
-
 def _handler(command: str):
     """The subcommand's handler, from its home module, imported now."""
     return getattr(importlib.import_module(f".{_COMMANDS[command][0]}", __package__), f"_cmd_{command}")
@@ -173,7 +150,11 @@ def run(argv) -> int:
     """
     argv = list(argv)
     try:
-        args = _read(argv) or build_parser().parse_args(argv)
+        args = _read(argv)
+        if args is None:
+            from .inputs import build_parser
+
+            args = build_parser(_COMMANDS, __doc__.splitlines()[0]).parse_args(argv)
         report = _handler(args.command)(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -22,8 +22,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapExceededError, InvalidParamsError
+from .inputs import _read_document
 from .recurrence import ValidationReport, as_fraction, check_cap
-from .report import Report, _read_document, _rows_report
+from .report import Report, _rows_report
 from .serialize import frac_str, parse_rational
 
 

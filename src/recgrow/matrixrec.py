@@ -13,8 +13,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapExceededError, InvalidParamsError
+from .inputs import _read_document
 from .recurrence import MATRIX_DEFAULT_CAP, Params, SequenceTable, as_fraction
-from .report import Report, _read_document
+from .report import Report
 from .serialize import frac_str, parse_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]

@@ -166,7 +166,7 @@ def is_monotone(table: SequenceTable) -> bool:
 def q_factor(params: Params, table: SequenceTable, l: int) -> Fraction:
     """Slack factor Q(l) = 1 + a/(b*D(l)^2) of the bilateral bounds; strictly > 1 since a > 0."""
     if l < 1:
-        raise ValueError(f"need k >= 0 and l >= 1, got k=0, l={l}")
+        raise ValueError(f"need l >= 1, got l={l}")
     if l > table.n_max:
         raise IndexError(f"index {l} outside table range 0..{table.n_max}")
     return 1 + params.a / (params.b * table[l] ** 2)

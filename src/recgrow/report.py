@@ -10,7 +10,9 @@ command line.  No handler lives here: each subcommand's lives in the module it
 runs (``twins._cmd_eval``, ``_cmd_bounds``, ``_cmd_converge`` and
 ``_cmd_benchmark``, ``growth._cmd_growth``, ``general._cmd_general``,
 ``matrixrec._cmd_matrix``, ``nsmodel._cmd_ns``), so each invocation compiles
-only the handler it runs, since no bytecode cache may be at hand.
+only the handler it runs, since no bytecode cache may be at hand.  For the same
+reason the reader of ``general``'s and ``matrix``'s input documents,
+``_read_document``, lives in :mod:`recgrow.inputs`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InvalidParamsError, _UsageError
+from .errors import InvalidParamsError
 from .recurrence import Params, validate_params
 from .serialize import frac_str, json_chunks
 
@@ -125,22 +127,3 @@ def _rows_report(
     """A report with one row per line of the csv and one dict per row in results[key]."""
     results[key] = [dict(zip(fields, r)) for r in rows]
     return Report(command, params, results, list(fields), rows, table_lines, discrepancies)
-
-
-def _read_document(path: str, kind: str, build):
-    """build(doc) for the JSON object in the file at path; every failure to read it is a usage error."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, RecursionError, ValueError) as exc:
-        raise _UsageError(f"cannot read JSON document {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise _UsageError(f"JSON document {path} must contain an object")
-    try:
-        return build(doc)
-    except InvalidParamsError:  # a claim value breaks a validity condition: exit 2, not a bad document
-        raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad {kind} document: {exc}")

@@ -5,29 +5,25 @@ native numbers: terms outgrow machine words immediately and JSON numbers
 would silently lose digits.  parse(serialize(x)) == x exactly.
 
 CPython before 3.12 converts between ints and decimal text in quadratic time,
-and refuses ints longer than ``sys.get_int_max_str_digits()`` digits.  The
-big values of eval, bounds, converge and benchmark are therefore never ints:
-:mod:`recgrow.twins` builds each one once, as exact ``Decimal`` integers in
-:data:`EXACT`, whose multiplication is subquadratic and whose ``str()`` takes
-linear time, so a chain that stays in the output radix costs O(M(n)) where
-radix conversion costs M(n) log n (Brent and Zimmermann, *Modern Computer
-Arithmetic*, 2010, section 1.7).  A report holds each such value as a
+and refuses ints longer than ``sys.get_int_max_str_digits()`` digits.  The big
+values of eval, bounds, converge and benchmark are built as exact ``Decimal``
+integers (:mod:`recgrow.exact`), and a report holds each such value as a
 :class:`TwinText`, about 0.42 bytes per digit; :func:`json_chunks` yields the
 JSON document piece by piece, a twin's numerator and denominator as separate
 pieces, so each part becomes text alone, only while the CLI writes it, and
 neither "num/den" nor an escaped copy of it is ever built.
 
-The ints printed here convert by divide and conquer: :func:`to_decimal`
-splits an int by bit position and joins the halves in :data:`EXACT`.
-Parsing splits each digit run and joins the halves with Karatsuba int
-multiplication (reducing the parsed fraction with ``math.gcd`` stays
+An int printed here is converted by ``str()`` up to :data:`_LEAF_BITS` bits, and
+above that by :func:`recgrow.exact.to_decimal`, which splits it by bit position;
+only such an int imports :mod:`recgrow.exact`, so a run whose ints are all small
+never compiles it.  Parsing splits each digit run and joins the halves with
+Karatsuba int multiplication (reducing the parsed fraction with ``math.gcd`` stays
 quadratic).  Only pieces far below the limit reach ``str()`` and ``int()``,
 so the interpreter-wide limit is never changed.
 """
 
 from __future__ import annotations
 
-import decimal
 import re
 from fractions import Fraction
 
@@ -44,51 +40,14 @@ _RATIONAL = re.compile(
 )
 
 
-#: The exact context of every big Decimal: integer operands keep exponent 0, and
-#: a trap turns any rounding into an error
-EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow],
-)
-
-
-def to_decimal(n: int) -> decimal.Decimal:
-    """Exact Decimal of ``n``, in subquadratic time for huge ``n``."""
-    if n < 0:
-        return EXACT.minus(to_decimal(-n))
-    if n.bit_length() <= _LEAF_BITS:
-        return decimal.Decimal(n)
-    powers = {}
-
-    def power_of_two(w: int) -> decimal.Decimal:
-        if w not in powers:
-            if w <= _LEAF_BITS:
-                powers[w] = decimal.Decimal(1 << w)
-            else:
-                half = power_of_two(w >> 1)
-                square = EXACT.multiply(half, half)
-                powers[w] = EXACT.multiply(square, 2) if w & 1 else square
-        return powers[w]
-
-    def convert(n: int, w: int) -> decimal.Decimal:
-        # n < 2^w; splitting by the nominal width w, not n's bit length,
-        # keeps the widths per level to two, so the powers cache stays small
-        if w <= _LEAF_BITS:
-            return decimal.Decimal(n)
-        w2 = w >> 1
-        hi = n >> w2
-        return EXACT.fma(convert(hi, w - w2), power_of_two(w2), convert(n - (hi << w2), w2))
-
-    return convert(n, n.bit_length())
-
-
 class TwinText:
-    """A checked decimal twin as it prints: ``str()`` gives "num", or "num/den" unless den is 1."""
+    """A checked decimal twin as it prints: ``str()`` gives "num", or "num/den" unless den is 1.
+
+    num and den are exact Decimal integers in :data:`recgrow.exact.EXACT`."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: decimal.Decimal, den: decimal.Decimal):
+    def __init__(self, num, den):
         self.num, self.den = num, den
 
     def __str__(self) -> str:
@@ -97,7 +56,11 @@ class TwinText:
 
 def _int_str(n: int) -> str:
     """Decimal digits of ``n``, in subquadratic time for huge ``n``."""
-    return str(n) if n.bit_length() <= _LEAF_BITS else str(to_decimal(n))
+    if n.bit_length() <= _LEAF_BITS:
+        return str(n)
+    from .exact import to_decimal  # only an int this big compiles the module
+
+    return str(to_decimal(n))
 
 
 def _parse_digits(text: str, powers: dict) -> int:

@@ -1,7 +1,7 @@
 """The handlers of eval, bounds, converge and benchmark, whose values are each built once as an exact decimal.
 
 A value is built only as its *decimal twin*, numerator and denominator as exact ``Decimal``
-integers in :data:`~recgrow.serialize.EXACT`, by the step ``D(n+1) = a + b*D(n)^2`` or by
+integers in :data:`~recgrow.exact.EXACT`, by the step ``D(n+1) = a + b*D(n)^2`` or by
 squarings (``P^(2^k)``, ``R^(2^k)``, ``Q(l)^(2^k)``, ``2^(2^(n-1))``).  Every printed twin passes
 one gate, :func:`_text`, which checks its parts against a recurrence of small ints modulo the prime
 ``P = 2^61 - 1``, so a value one unit off or not in lowest terms raises :class:`~recgrow.errors.CertificateError`.
@@ -21,9 +21,10 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import CertificateError, _UsageError
+from .exact import EXACT, to_decimal
 from .recurrence import Params, check_benchmark_regime, check_cap, evaluate, q_factor
 from .report import Report, _discrepancies_for, _params_dict, _params_from_args, _rows_report
-from .serialize import EXACT, TwinText, frac_str, to_decimal
+from .serialize import TwinText, frac_str
 
 #: the prime of every residue check
 P = 2**61 - 1

@@ -51,6 +51,12 @@ def test_q_factor_index_error():
         q_factor(Params(1, 1), table, 4)
 
 
+def test_q_factor_needs_a_positive_index():
+    table = evaluate(Params(1, 1), 3)
+    with pytest.raises(ValueError, match=r"^need l >= 1, got l=0$"):
+        q_factor(Params(1, 1), table, 0)
+
+
 def test_lower_bound_reference_values():
     t11 = evaluate(Params(1, 1), 3)
     t19 = evaluate(Params(1, 9), 2)

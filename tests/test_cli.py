@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import recgrow.cli as cli
 import recgrow.general as general_mod
 import recgrow.growth as growth_mod
+import recgrow.inputs as inputs
 import recgrow.twins as twins_mod
 from recgrow import DEFAULT_CAP, MATRIX_DEFAULT_CAP, Params, evaluate, q_factor, term_count
-from recgrow.cli import _COMMANDS, _read, build_parser, run
+from recgrow.cli import _COMMANDS, _read, run
 from recgrow.errors import (
     CapExceededError,
     CertificateError,
@@ -26,6 +27,11 @@ from recgrow.errors import (
 from recgrow.serialize import parse_rational
 
 F = Fraction
+
+
+def build_parser():
+    """The parser that run builds for a line _read declines."""
+    return inputs.build_parser(_COMMANDS, cli.__doc__.splitlines()[0])
 
 
 def _json_out(capsys, argv, expect=0):

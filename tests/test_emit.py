@@ -15,6 +15,7 @@ import pytest
 
 import recgrow.cli as cli
 import recgrow.report as report_mod
+from recgrow.inputs import build_parser
 from recgrow.serialize import TwinText
 
 _BOUNDS_9 = "bounds --a 1 --b 1 --kmax 9 --lmax 9 --format json"  # 1,308,034 bytes
@@ -25,7 +26,7 @@ _DOCUMENTS = {
 
 
 def _report(command: str):
-    args = cli.build_parser().parse_args(command.split())
+    args = build_parser(cli._COMMANDS, cli.__doc__.splitlines()[0]).parse_args(command.split())
     return cli._handler(args.command)(args), args.format
 
 

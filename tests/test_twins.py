@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import recgrow.cli as cli
 import recgrow.twins as twins
 from recgrow import Params, certify, compare_to_benchmark, convergence_profile, evaluate, is_monotone
-from recgrow.serialize import EXACT, TwinText, frac_str
+from recgrow.exact import EXACT
+from recgrow.serialize import TwinText, frac_str
 from recgrow.twins import P
 from test_goldens import COMMANDS, replay
 
@@ -184,7 +185,7 @@ _CORRUPTED += [("eval --a 1 --b 1 --n 6", 6), ("benchmark --a 1 --b 1 --n 6", 6)
 # replaces the check-and-print step of recgrow.twins with one that corrupts each twin first
 _CORRUPT = """
 import recgrow.twins as twins
-from recgrow.serialize import EXACT
+from recgrow.exact import EXACT
 
 
 def corrupt(part):
