@@ -16,18 +16,21 @@ print values that :mod:`recgrow.twins` builds on its own, and no CLI path loads 
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CertificateError, NonIntegerParamsError
-from .recurrence import DEFAULT_CAP, Params, SequenceTable, check_benchmark_regime, check_cap, evaluate, q_factor
+from .pairs import _cancel, _fraction
+from .recurrence import (
+    DEFAULT_CAP,
+    Params,
+    SequenceTable,
+    check_benchmark_regime,
+    check_cap,
+    evaluate,
+    q_factor,
+)
 from .serialize import frac_str
-
-
-#: n/d with gcd(n, d) = 1 and d > 0; Fraction() takes a Rational's lowest terms without a gcd
-_LowestTerms = numbers.Rational.register(namedtuple("_LowestTerms", "numerator denominator"))
 
 
 def _check(table: SequenceTable, k: int, l: int, k_min: int = 1) -> None:
@@ -35,16 +38,6 @@ def _check(table: SequenceTable, k: int, l: int, k_min: int = 1) -> None:
         raise ValueError(f"need k >= {k_min} and l >= 1, got k={k}, l={l}")
     if k + l > table.n_max:
         raise IndexError(f"index {k + l} outside table range 0..{table.n_max}")
-
-
-def _cancel(x: int, y: int, w: int) -> tuple[int, int]:
-    """x, y over their gcd, where every prime of y divides the small w: only primes of
-    gcd(x, w) can be shared, so small gcds find them and none runs on x and y together."""
-    c = math.gcd(math.gcd(x, w), y)
-    while c > 1:
-        x, y = x // c, y // c
-        c = math.gcd(math.gcd(x, c * c), y)
-    return x, y
 
 
 class BoundCertificate(namedtuple("BoundCertificate", "k l q_l lower upper actual ratio holds")):
@@ -64,7 +57,7 @@ def _ratio(b: Fraction, d: Fraction, act: Fraction, lo: Fraction) -> Fraction:
     # the primes of lo's numerator divide b_n*d_n, those of its denominator b_d*d_d
     xn, yn = _cancel(act.numerator, lo.numerator, b.numerator * d.numerator)
     xd, yd = _cancel(act.denominator, lo.denominator, b.denominator * d.denominator)
-    return Fraction(_LowestTerms(xn * yd, xd * yn)) if yn > 0 else act / lo  # yn < 0 only for b < 0
+    return _fraction((xn * yd, xd * yn)) if yn > 0 else act / lo  # yn < 0 only for b < 0
 
 
 def _certificate(params: Params, table: SequenceTable, k: int, l: int, p_pow: Fraction, r_pow: Fraction) -> BoundCertificate:

@@ -3,27 +3,31 @@
 This module holds the option table ``_COMMANDS`` and the dispatch.  A plain
 ``COMMAND --option value ...`` line is read from the table directly; any other line (``--help``,
 a usage error) goes to the ``argparse`` parser that :func:`recgrow.inputs.build_parser` builds
-from the same table, and only such a line imports that module and ``argparse``.  Each handler
-lives in the home module the table names and returns a :class:`~recgrow.report.Report`, which
-is streamed to stdout in batches of at most 64 KiB once every check has run.  Exit codes: 0
-success, 1 usage error, 2 invalid parameters, 3 cap or tolerance failure, 4 certificate failure
-(a fault in the library, not in the input), 141 stdout closed by its reader (as by SIGPIPE).
+from the same table, and only such a line imports that module and ``argparse``.  An exact
+rational option is read as a lowest-terms int pair ``(num, den)``, from which the handlers that
+want ``Fraction``s build them.  Each handler lives in the home module the table names and returns
+a :class:`~recgrow.report.Report`, which is streamed to stdout in batches of at most 64 KiB once
+every check has run.  Exit codes: 0 success, 1 usage error, 2 invalid parameters, 3 cap or
+tolerance failure, 4 certificate failure (a fault in the library, not in the input), 141 stdout
+closed by its reader (as by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import importlib
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import RecgrowError
 from .recurrence import DEFAULT_CAP, DEFAULT_MAX_DIGITS, MATRIX_DEFAULT_CAP
 from .report import _emit
-from .serialize import parse_rational
+from .serialize import parse_pair
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 141
+
+#: the first line of the module docstring, which ``python -OO`` strips: argparse's description
+_DESCRIPTION = "Command-line front end: parameter ingestion and report serialization."
 
 
 def _bad_value(message: str) -> Exception:
@@ -33,9 +37,10 @@ def _bad_value(message: str) -> Exception:
     return ArgumentTypeError(message)
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str) -> tuple[int, int]:
+    """The lowest-terms pair (num, den) of an exact rational option."""
     try:
-        return parse_rational(text)
+        return parse_pair(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _bad_value(f"not an exact rational: {text!r} ({exc})")
 
@@ -61,7 +66,7 @@ _nonneg_int, _pos_int = _int_at_least(0), _int_at_least(1)
 _AB = (
     ("--a", dict(type=_rational, required=True, help="additive constant, exact rational")),
     ("--b", dict(type=_rational, required=True, help="quadratic coefficient, exact rational")),
-    ("--d0", dict(type=_rational, default=Fraction(1), help="seed value, default 1")),
+    ("--d0", dict(type=_rational, default=(1, 1), help="seed value, default 1")),
 )
 
 
@@ -89,7 +94,7 @@ _COMMANDS = {
     "growth": ("growth", "certified growth-constant enclosure", (
         *_AB_FMT,
         ("--l", dict(type=_pos_int, required=True, help="witness index")),
-        ("--rtol", dict(type=_rational, default=Fraction(1, 10**12), help="relative tolerance, e.g. 1e-12")),
+        ("--rtol", dict(type=_rational, default=(1, 10**12), help="relative tolerance, e.g. 1e-12")),
         ("--max-digits", dict(type=_pos_int, default=DEFAULT_MAX_DIGITS)),
         ("--loglog-n", dict(type=_pos_int, default=None, help="also report log2(ln(b*D(n)))/n here")),
     )),
@@ -154,7 +159,7 @@ def run(argv) -> int:
         if args is None:
             from .inputs import build_parser
 
-            args = build_parser(_COMMANDS, __doc__.splitlines()[0]).parse_args(argv)
+            args = build_parser(_COMMANDS, _DESCRIPTION).parse_args(argv)
         report = _handler(args.command)(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -8,7 +8,6 @@ never compiles it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 
@@ -92,8 +91,25 @@ def _ln(m: int, e: int, prec: int) -> tuple[int, int]:
         w *= 2
 
 
-def _log_log_pass(x: Fraction, n: int, prec: int) -> Fraction | None:
-    """log2(ln x) / n as mpmath computes it at mp.prec = prec, or None if ln x rounds to <= 0.
+def _settled_pass(x: tuple, n: int, rt: tuple) -> tuple[int, int] | None:
+    """The first :func:`_log_log_pass` of x that lies within rt/2 of the one before, relative to
+    itself, as the precision doubles from 80 bits up to 2^23; None if none does."""
+    prec = 80
+    prev = _log_log_pass(x, n, prec)
+    while prec <= 1 << 22:
+        prec *= 2
+        cur = _log_log_pass(x, n, prec)
+        # |cur - prev| <= rt*|cur|/2, cross-multiplied
+        if prev is not None and cur is not None:
+            if 2 * rt[1] * abs(cur[0] * prev[1] - prev[0] * cur[1]) <= rt[0] * abs(cur[0]) * prev[1]:
+                return cur
+        prev = cur
+    return None
+
+
+def _log_log_pass(x: tuple, n: int, prec: int) -> tuple[int, int] | None:
+    """log2(ln x) / n for the pair x as mpmath computes it at mp.prec = prec, as a lowest-terms pair,
+    or None if ln x rounds to <= 0.
 
     Every step is mpmath's, each rounded to nearest at prec bits: ln of an int
     is (bits-1)*ln2 plus the log of its leading prec+1 bits rounded to a
@@ -110,11 +126,14 @@ def _log_log_pass(x: Fraction, n: int, prec: int) -> Fraction | None:
         mant = _round(k >> drop, 1, prec, drop - shift)
         return _add(_round(shift * ln2_m, 1, prec, ln2_e), _ln(*mant, prec), prec)
 
-    m, e = ln_int(x.denominator)
-    m, e = _add(ln_int(x.numerator), (-m, e), prec)
+    m, e = ln_int(x[1])
+    m, e = _add(ln_int(x[0]), (-m, e), prec)
     if m <= 0:
         return None
     m, e = _ln(m, e, prec)
     m, e = _round(m, ln2_m, prec, e - ln2_e)
     m, e = _round(m, n, prec, e)
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+    if e >= 0 or not m:
+        return m << max(e, 0), 1
+    zeros = min((m & -m).bit_length() - 1, -e)  # m/2^-e in lowest terms
+    return m >> zeros, 1 << (-e - zeros)

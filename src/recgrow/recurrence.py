@@ -1,20 +1,21 @@
 """Exact evaluation of the quadratic recursion D(n+1) = a + b*D(n)^2.
 
-All arithmetic is over arbitrary-precision rationals (``fractions.Fraction``).
-When a, b and the seed are integers every term stays an integer (denominator
-1), which the exact representation preserves automatically.  Floating point
+Every term is an exact rational, computed by the int core in :mod:`recgrow.pairs` as a
+lowest-terms pair ``(num, den)``; :func:`evaluate` and the rest of the library API here
+hand out ``fractions.Fraction`` values built from those pairs.  When a, b
+and the seed are integers every term stays an integer (denominator 1).  Floating point
 appears nowhere: the bound certificates downstream are exact inequalities.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import CapExceededError, CertificateError, InvalidParamsError
 from .serialize import frac_str, parse_rational
 
-RationalLike = Fraction | int | str
+#: what the library takes as an exact rational
+RationalLike = "Fraction | int | str"
 
 #: Default cap on the largest computable index.  The bit size of D(n) grows
 #: like 2^n, so D(30) for a = b = 1 already has ~6e8 bits.
@@ -32,7 +33,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, "p/q" / decimal strings, or Fractions to an exact Fraction."""
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass int, str or Fraction")
-    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    from fractions import Fraction
+
+    return Fraction(value)
 
 
 class Params(namedtuple("Params", "a b d0")):
@@ -54,7 +59,8 @@ class Params(namedtuple("Params", "a b d0")):
 
 
 class ValidationReport(namedtuple("ValidationReport", "ok violations")):
-    """Outcome of a parameter check: ok, or a tuple of named violations."""
+    """Outcome of a parameter check: ok, or a tuple of named violations, each with its exact witness
+    (a Fraction from :func:`validate_params`, a lowest-terms pair from :func:`recgrow.pairs.check_params`)."""
 
     __slots__ = ()
 
@@ -109,15 +115,10 @@ def validate_params(a: RationalLike, b: RationalLike, d0: RationalLike = 1) -> V
     Invalid inputs produce a failing report (with the offending exact values
     as witnesses), never an exception.
     """
-    a, b, d0 = as_fraction(a), as_fraction(b), as_fraction(d0)
-    violations = []
-    if not b > 0:
-        violations.append(("b > 0", b))
-    if not 4 * a * b >= 1:
-        violations.append(("4ab >= 1", 4 * a * b))
-    if not d0 > 0:
-        violations.append(("d0 > 0", d0))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    from .pairs import _fraction, _violations
+
+    violations = _violations(*(as_fraction(v).as_integer_ratio() for v in (a, b, d0)))
+    return ValidationReport(ok=not violations, violations=tuple((name, _fraction(w)) for name, w in violations))
 
 
 def check_benchmark_regime(params: Params) -> None:
@@ -143,16 +144,10 @@ def evaluate(params: Params, n_max: int, cap: int = DEFAULT_CAP) -> SequenceTabl
     growth conditions fail and :class:`CapExceededError` when n_max exceeds
     the cap (override ``cap`` to go further at your own memory's risk).
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    check_cap(n_max, cap)
-    report = validate_params(params.a, params.b, params.d0)
-    if not report.ok:
-        raise InvalidParamsError(report)
-    values = [params.d0]
-    for _ in range(n_max):
-        values.append(params.a + params.b * values[-1] ** 2)
-    return SequenceTable(params=params, values=tuple(values))
+    from .pairs import _fraction, _orbit
+
+    values = _orbit(*(v.as_integer_ratio() for v in params), n_max, cap)
+    return SequenceTable(params=params, values=tuple(map(_fraction, values)))
 
 
 def is_monotone(table: SequenceTable) -> bool:
@@ -169,4 +164,8 @@ def q_factor(params: Params, table: SequenceTable, l: int) -> Fraction:
         raise ValueError(f"need l >= 1, got l={l}")
     if l > table.n_max:
         raise IndexError(f"index {l} outside table range 0..{table.n_max}")
-    return 1 + params.a / (params.b * table[l] ** 2)
+    from .pairs import _cancel, _fraction, _next_numerator
+
+    (an, ad), (bn, bd), (p, q) = (v.as_integer_ratio() for v in (params.a, params.b, table[l]))
+    u = _next_numerator((an, ad), (bn, bd), (p, q))
+    return _fraction(_cancel(u, ad * bn * p * p, an * ad * bn * bd))

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from fractions import Fraction
 
-from .errors import InvalidParamsError
-from .recurrence import Params, validate_params
-from .serialize import frac_str, json_chunks
+from .pairs import _fraction, as_pair, check_params
+from .recurrence import Params
+from .serialize import frac_str, json_chunks, pair_str
 
 SCHEMA_VERSION = 1
 
@@ -52,7 +51,7 @@ def _render_json(report: Report):
 
 def _render_csv(report: Report):
     # no cell needs csv quoting: none holds a comma, quote or line break, and no row is one empty cell
-    # (cells are ints, bools, checked twins, frac_str and decimal_str text, matrix cells "1 0;0 1", names)
+    # (cells are ints, bools, checked twins, frac_str, pair_str and fixed_str text, matrix cells "1 0;0 1", names)
     for row in (report.csv_header, *report.csv_rows):
         yield ",".join(map(str, row)) + "\n"
 
@@ -102,19 +101,19 @@ def _emit(report: Report, fmt: str) -> None:
 
 
 def _params_from_args(args) -> Params:
-    report = validate_params(args.a, args.b, args.d0)
-    if not report.ok:
-        raise InvalidParamsError(report)
-    return Params(a=args.a, b=args.b, d0=args.d0)
+    """The Params of the parsed pairs --a, --b and --d0, once they meet the growth conditions."""
+    check_params(args.a, args.b, args.d0)
+    return Params(*map(_fraction, (args.a, args.b, args.d0)))
 
 
-def _params_dict(params: Params) -> dict:
-    return {"a": frac_str(params.a), "b": frac_str(params.b), "d0": frac_str(params.d0)}
+def _params_dict(params) -> dict:
+    """The text of a, b and d0, given as Params or as a tuple of pairs."""
+    return {name: pair_str(*as_pair(v)) for name, v in zip(("a", "b", "d0"), params)}
 
 
 def _discrepancies_for(params: Params, cap: int) -> list:
     """The published d = 3 table's rows for the parameter set (1, 9, 1), under the index cap; else none."""
-    if (params.a, params.b, params.d0) != (Fraction(1), Fraction(9), Fraction(1)):
+    if (params.a, params.b, params.d0) != (1, 9, 1):
         return []
     from . import nsmodel
 

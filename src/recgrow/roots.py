@@ -1,6 +1,6 @@
 """Certified 2^l-th roots on a decimal grid.
 
-The primitives here return Fractions r / 10^digits that bracket the 2^l-th
+The primitives here find the grid points r / 10^digits that bracket the 2^l-th
 root of x >= 0 (growth takes roots of its radicands) from one side, with the
 defining inequality (r/10^digits)^(2^l) <= x or >= x holding *exactly*, and
 within one grid step of the root, so callers control accuracy purely through
@@ -13,14 +13,19 @@ floor of the scaled root or one grid step below it, so one comparison picks
 the floor; the scaled radicand x * 10^(digits*2^l) is never formed.  Each
 pass of square roots or squarings is checked against the ``max_digits``
 budget of its call before it starts (see :func:`_check_budget`).
+
+The core works on ints: a radicand or a grid point is a lowest-terms pair
+``(num, den)``, and :func:`_floor_point` and :func:`_ceil_point` return the
+grid numerator r.  :func:`nth_root_lower` and :func:`nth_root_upper` hand out
+Fractions built from it, and :func:`pow_cmp` takes Fractions as well as pairs.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ToleranceUnachievableError
+from .pairs import _fraction, as_pair
 from .recurrence import DEFAULT_MAX_DIGITS
 
 #: Bits kept beyond the operands' own size by the candidate and the brackets.
@@ -68,8 +73,9 @@ def _cmp_scaled(a: int, ea: int, b: int, eb: int) -> int:
     return (a > b) - (a < b)
 
 
-def pow_cmp(base: Fraction, l: int, x: Fraction, max_digits: int = DEFAULT_MAX_DIGITS) -> int:
-    """sign(base^(2^l) - x) for base, x >= 0, never forming base^(2^l).
+def pow_cmp(base, l: int, x, max_digits: int = DEFAULT_MAX_DIGITS) -> int:
+    """sign(base^(2^l) - x) for base, x >= 0, never forming base^(2^l); each a Fraction, an int or a
+    lowest-terms pair.
 
     With base = p/q and x = X/Y this is the sign of p^(2^l)*Y - q^(2^l)*X.
     Both powers are bracketed by :func:`_pow_bracket` and the brackets are
@@ -77,8 +83,7 @@ def pow_cmp(base: Fraction, l: int, x: Fraction, max_digits: int = DEFAULT_MAX_D
     size of the exact powers, where no step rounds, so equality is decided
     too, unless a pass would build over ``max_digits`` digits.
     """
-    p, q = base.numerator, base.denominator
-    big_x, big_y = x.numerator, x.denominator
+    (p, q), (big_x, big_y) = as_pair(base), as_pair(x)
     base_bits = max(p.bit_length(), q.bit_length())
     prec = base_bits + _GUARD_BITS
     while True:
@@ -94,7 +99,7 @@ def pow_cmp(base: Fraction, l: int, x: Fraction, max_digits: int = DEFAULT_MAX_D
         prec = min(2 * prec, base_bits << l)  # no step rounds at the bit length of the exact powers
 
 
-def _root_candidate(x: Fraction, l: int, digits: int, max_digits: int) -> int:
+def _root_candidate(x: tuple, l: int, digits: int, max_digits: int) -> int:
     """r with rho - 2 < r <= rho for rho = x^(1/2^l) * 10^digits: floor(rho) or one below it.
 
     a_0 = floor(x * 2^(2*prec - log2_x)) and l floor square roots take the root, each argument first
@@ -111,7 +116,7 @@ def _root_candidate(x: Fraction, l: int, digits: int, max_digits: int) -> int:
       digits*10//3 + 2 <= prec - 62, and the final floor gives r > rho - rho*2^(3 - prec) - 1 > rho - 2.
     The precision follows rho, so the bound holds for a huge x as for a small one.
     """
-    num, den = x.numerator, x.denominator
+    num, den = x
     if num == 0:
         return 0
     log2_x = num.bit_length() - den.bit_length()  # within 1 of log2(x)
@@ -131,24 +136,42 @@ def _root_candidate(x: Fraction, l: int, digits: int, max_digits: int) -> int:
     return r << e if e >= 0 else r >> -e
 
 
-def _floor_point(x: Fraction, l: int, digits: int, max_digits: int) -> int:
-    """floor(x^(1/2^l) * 10^digits): the candidate, or the point above it if that one's power is <= x."""
+def _grid_pair(r: int, digits: int) -> tuple[int, int]:
+    """r/10^digits (r >= 0) as a lowest-terms pair: only 2s and 5s can cancel, so no gcd is taken."""
+    if not r:
+        return 0, 1
+    twos = min((r & -r).bit_length() - 1, digits)
+    r >>= twos
+    fives = 0
+    while fives < digits and not r % 5:
+        r //= 5
+        fives += 1
+    return r, 5 ** (digits - fives) << (digits - twos)
+
+
+def _floor_point(x: tuple, l: int, digits: int, max_digits: int) -> int:
+    """floor(x^(1/2^l) * 10^digits) for the pair x: the candidate, or the point above it if that one's power is <= x."""
     r = _root_candidate(x, l, digits, max_digits)
-    return r + (pow_cmp(Fraction(r + 1, 10 ** digits), l, x, max_digits) <= 0)
+    return r + (pow_cmp(_grid_pair(r + 1, digits), l, x, max_digits) <= 0)
 
 
-def nth_root_lower(x: Fraction, l: int, digits: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Fraction:
-    """Largest grid point r/10^digits with (r/10^digits)^(2^l) <= x.
+def _ceil_point(x: tuple, l: int, digits: int, max_digits: int) -> int:
+    """ceil(x^(1/2^l) * 10^digits) for the pair x: the floor point if the root is on it, else the next."""
+    r = _floor_point(x, l, digits, max_digits)
+    return r + (pow_cmp(_grid_pair(r, digits), l, x, max_digits) < 0)
+
+
+def nth_root_lower(x, l: int, digits: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Fraction:
+    """Largest grid point r/10^digits with (r/10^digits)^(2^l) <= x (a Fraction, an int or a pair).
 
     The true root lies in [result, result + 10^-digits).
     """
-    return Fraction(_floor_point(x, l, digits, max_digits), 10 ** digits)
+    return _fraction(_grid_pair(_floor_point(as_pair(x), l, digits, max_digits), digits))
 
 
-def nth_root_upper(x: Fraction, l: int, digits: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Fraction:
-    """Smallest grid point t/10^digits with (t/10^digits)^(2^l) >= x.
+def nth_root_upper(x, l: int, digits: int, max_digits: int = DEFAULT_MAX_DIGITS) -> Fraction:
+    """Smallest grid point t/10^digits with (t/10^digits)^(2^l) >= x (a Fraction, an int or a pair).
 
-    The true root lies in (result - 10^-digits, result]: the floor point if the root is on it, else the next.
+    The true root lies in (result - 10^-digits, result].
     """
-    r = _floor_point(x, l, digits, max_digits)
-    return Fraction(r + (pow_cmp(Fraction(r, 10 ** digits), l, x, max_digits) < 0), 10 ** digits)
+    return _fraction(_grid_pair(_ceil_point(as_pair(x), l, digits, max_digits), digits))

@@ -20,12 +20,17 @@ never compiles it.  Parsing splits each digit run and joins the halves with
 Karatsuba int multiplication (reducing the parsed fraction with ``math.gcd`` stays
 quadratic).  Only pieces far below the limit reach ``str()`` and ``int()``,
 so the interpreter-wide limit is never changed.
+
+An exact value is parsed to, and printed from, a lowest-terms int pair ``(num, den)`` with
+``den > 0`` (:func:`parse_pair`, :func:`pair_str`); only :func:`parse_rational` builds a
+``Fraction``, and imports :mod:`fractions` to do so, so a run that never asks for one loads
+neither it nor :mod:`decimal`, which it imports.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd
 
 # pieces this small (about 1200 digits) are converted by str() and int()
 _LEAF_BITS = 4000
@@ -73,14 +78,20 @@ def _parse_digits(text: str, powers: dict) -> int:
     return _parse_digits(text[:-k], powers) * powers[k] + _parse_digits(text[-k:], powers)
 
 
-def frac_str(x: Fraction | int) -> str:
-    """Canonical exact rendering: "p" for integers, "p/q" otherwise."""
-    p = _int_str(x.numerator)
-    return p if x.denominator == 1 else f"{p}/{_int_str(x.denominator)}"
+def pair_str(num: int, den: int) -> str:
+    """Canonical exact rendering of the lowest-terms pair: "num" when den is 1, "num/den" otherwise."""
+    p = _int_str(num)
+    return p if den == 1 else f"{p}/{_int_str(den)}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Exact inverse of :func:`frac_str`; accepts the strings Fraction does, at any length, and only strings."""
+def frac_str(x) -> str:
+    """:func:`pair_str` of a Fraction or an int."""
+    return pair_str(x.numerator, x.denominator)
+
+
+def parse_pair(text: str) -> tuple[int, int]:
+    """The lowest-terms pair of a rational string: the inverse of :func:`pair_str`; accepts the strings
+    Fraction does, at any length, and only strings."""
     if not isinstance(text, str):
         raise TypeError(f"expected a rational string, got {type(text).__name__}")
     match = _RATIONAL.fullmatch(text.strip())
@@ -97,15 +108,27 @@ def parse_rational(text: str) -> Fraction:
         p = _parse_digits(whole + frac, powers)
         shift = (int(exp) if exp else 0) - len(frac)
         p, q = (p * 10 ** shift, 1) if shift >= 0 else (p, 10 ** -shift)
-    return Fraction(-p if sign == "-" else p, q)
+    g = gcd(p, q)
+    return (-p if sign == "-" else p) // g, q // g
 
 
-def decimal_str(x: Fraction, digits: int) -> str:
-    """Exact fixed-point rendering of a value on the 10^-digits grid."""
+def parse_rational(text: str):
+    """The Fraction of :func:`parse_pair`: the exact inverse of :func:`frac_str`."""
+    from fractions import Fraction
+
+    return Fraction(*parse_pair(text))
+
+
+def decimal_str(x, digits: int) -> str:
+    """Exact fixed-point rendering of a Fraction on the 10^-digits grid."""
     scaled = x * 10 ** digits
     if scaled.denominator != 1:
         raise ValueError(f"{frac_str(x)} is not on the 10^-{digits} grid")
-    n = scaled.numerator
+    return fixed_str(scaled.numerator, digits)
+
+
+def fixed_str(n: int, digits: int) -> str:
+    """n / 10^digits in fixed point, with digits digits after the point."""
     sign = "-" if n < 0 else ""
     text = _int_str(abs(n)).rjust(digits + 1, "0")
     if digits == 0:

@@ -3,7 +3,8 @@
 The table maps each input document's file name to its JSON (`documents`), and each full command line to
 the sha256 of its stdout, its exit code and its exact stderr (`commands`).  Every command line ends in
 `--format json|csv|table` or in `--help`.  Help is replayed at 80 columns, and only on CPython 3.11,
-whose argparse layout it records.
+whose argparse layout it records.  One line per subcommand and the top-level help are replayed once
+more under `python -OO`, in a subprocess.
 
 Run as a script, this module records the given command lines into the table, with the `recgrow` on
 PYTHONPATH; to record from another commit, run it from an unpacked copy of that commit (`git archive`):
@@ -17,6 +18,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +53,32 @@ _HELP = pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lay
 @pytest.mark.parametrize("command", [pytest.param(c, marks=_HELP) if c.endswith("--help") else c for c in COMMANDS])
 def test_command_reproduces_its_record(command, tmp_path):
     assert replay(command, tmp_path) == COMMANDS[command]
+
+
+#: one line per subcommand, growth with --loglog-n too, and the top-level help: replayed under python -OO
+_OPTIMIZED = [
+    "eval --a 1 --b 9 --d0 1 --n 10 --format json",
+    "bounds --a 3/7 --b 5/3 --d0 11/5 --kmax 5 --lmax 5 --format csv",
+    "converge --a 1/4 --b 1 --d0 1/2 --k 3 --lmax 4 --format json",
+    "growth --a 3/7 --b 5/3 --d0 11/5 --l 12 --format table",
+    "growth --a 1 --b 9 --l 8 --loglog-n 12 --format json",
+    "benchmark --a 1 --b 1 --n 14 --format csv",
+    "general --file family.json --n 6 --format json",
+    "matrix --file matrix3.json --n 6 --format table",
+    "ns --d 3 --n 4 --bytes-per-term 16 --budget 1000000 --format json",
+    "--help",
+]
+
+
+@pytest.mark.parametrize("command", [pytest.param(c, marks=_HELP) if c.endswith("--help") else c for c in _OPTIMIZED])
+def test_command_reproduces_its_record_under_optimize(command, tmp_path):
+    # -OO strips docstrings and asserts: no output, exit code or message may depend on either
+    for name, doc in TABLE["documents"].items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argv = [sys.executable, "-OO", "-m", "recgrow.cli", *command.split()]
+    proc = subprocess.run(argv, capture_output=True, cwd=tmp_path, env={**os.environ, "COLUMNS": "80"})
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert {"sha256": digest, "exit": proc.returncode, "stderr": proc.stderr.decode()} == COMMANDS[command]
 
 
 def test_every_subcommand_succeeds_in_every_format():

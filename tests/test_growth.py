@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -297,14 +299,67 @@ def test_coarse_root_is_at_least_one_half(b, extra, d0, l):
     assert nth_root_lower(x, l, 8) >= F(1, 2)
 
 
+def _oracle_root(x: Fraction, l: int, digits: int, ceil: bool) -> int:
+    """floor or ceil of x^(1/2^l) * 10^digits, by l floor square roots of the exact radicand.
+
+    floor(sqrt(floor(y))) = floor(sqrt(y)) for y >= 0, and t >= y^(1/m) exactly when t^m >= ceil(y)."""
+    scaled = x * 10 ** (digits * 2 ** l)
+    radicand = math.ceil(scaled) if ceil else math.floor(scaled)
+    r = radicand
+    for _ in range(l):
+        r = math.isqrt(r)
+    return r + (ceil and r ** 2 ** l < radicand)
+
+
+def _fixed(n: int, digits: int) -> str:
+    return f"{n // 10 ** digits}.{n % 10 ** digits:0{digits}d}" if digits else str(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    b=st.builds(F, st.integers(1, 40), st.integers(1, 40)),
+    extra=st.builds(F, st.integers(0, 30), st.integers(1, 30)),
+    d0=st.builds(F, st.integers(1, 40), st.integers(1, 40)),
+    l=st.integers(1, 5),
+    rtol=st.one_of(
+        st.integers(1, 30).map(lambda k: F(1, 10 ** k)), st.builds(F, st.integers(1, 999), st.integers(1000, 10 ** 9))
+    ),
+)
+@example(b=F(1), extra=F(0), d0=F(1, 2), l=3, rtol=F(1, 10 ** 9))  # fixed point: c_hi = 1 exactly
+@example(b=F(5, 3), extra=F(3, 7) - F(3, 20), d0=F(11, 5), l=5, rtol=F(1, 10 ** 30))
+def test_cli_prints_the_exact_oracle_enclosure(b, extra, d0, l, rtol):
+    # the enclosure rebuilt here with plain Fractions and exact powers, step by step as growth_enclosure states it
+    a = 1 / (4 * b) + extra  # 4ab >= 1
+    d = d0
+    for _ in range(l):
+        d = a + b * d * d
+    x_lo = b * d
+    q = 1 + a / (b * d * d)
+    x_hi = x_lo * q
+    assert x_hi == (a + b * d * d) / d
+    c0 = F(_oracle_root(x_lo, l, 8, ceil=False), 10 ** 8)
+    target = min(rtol * c0 / 2, c0 * (q - 1) / (q * 2 ** l) / 20)
+    s = 0
+    while F(1, 10 ** s) > target:
+        s += 1
+    r, t = _oracle_root(x_lo, l, s, ceil=False), _oracle_root(x_hi, l, s, ceil=True)
+
+    out = io.StringIO()
+    argv = ["growth", "--a", str(a), "--b", str(b), "--d0", str(d0), "--l", str(l), "--rtol", str(rtol)]
+    with contextlib.redirect_stdout(out):
+        assert run([*argv, "--format", "json"]) == 0
+    results = json.loads(out.getvalue())["results"]
+    expected = {"digits": s, "c_lo": _fixed(r, s), "c_hi": _fixed(t, s), "width": _fixed(t - r, s)}
+    assert {key: results[key] for key in expected} == expected
+
+
 _BAD_UPPER_ROOT = """
-from fractions import Fraction
 import recgrow.growth as growth
 from recgrow import CertificateError, Params
 
 assert not __debug__
-upper = growth.nth_root_upper
-growth.nth_root_upper = lambda x, l, digits, max_digits: upper(x, l, digits, max_digits) - Fraction(1, 10 ** digits)
+upper = growth._ceil_point
+growth._ceil_point = lambda x, l, digits, max_digits: upper(x, l, digits, max_digits) - 1
 try:
     growth.growth_enclosure(Params(1, 1), 3, "1e-9")
 except CertificateError:

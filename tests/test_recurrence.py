@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recgrow import (
     CapExceededError,
@@ -11,6 +13,7 @@ from recgrow import (
     SequenceTable,
     evaluate,
     is_monotone,
+    q_factor,
     validate_params,
 )
 from recgrow.general import PowerFamily
@@ -158,3 +161,23 @@ def test_bit_size_grows_at_doubling_rate():
         for n in range(3, 13):
             bits = table[n].numerator.bit_length()
             assert F(2 ** (n - 1)) * c1 <= bits <= F(2 ** n) * c2
+
+
+_POSITIVE = st.builds(F, st.integers(1, 60), st.integers(1, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=_POSITIVE, extra=st.builds(F, st.integers(0, 40), st.integers(1, 40)), d0=_POSITIVE, n=st.integers(1, 7))
+def test_orbit_pairs_are_the_fraction_orbit_in_lowest_terms(b, extra, d0, n):
+    # the int core cancels only by gcds with the coefficients' parts: every term, and Q(l), must still be
+    # in lowest terms, exactly the Fraction a + b*D^2 and 1 + a/(b*D^2)
+    params = Params(1 / (4 * b) + extra, b, d0)
+    table = evaluate(params, n)
+    d = params.d0
+    for l, value in enumerate(table.values):
+        assert (value.numerator, value.denominator) == (d.numerator, d.denominator)
+        if l:
+            q = q_factor(params, table, l)
+            expected = 1 + params.a / (params.b * d * d)
+            assert (q.numerator, q.denominator) == (expected.numerator, expected.denominator)
+        d = params.a + params.b * d * d

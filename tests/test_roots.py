@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import recgrow.roots as roots
@@ -123,6 +123,27 @@ def test_digits_for():
         digits_for(F(0))
 
 
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(0, 3000), delta=st.sampled_from([-1, 0, 1]), num=st.integers(1, 10 ** 40))
+@example(k=1, delta=-1, num=1)  # 1/9
+@example(k=0, delta=1, num=1)  # 1/2
+def test_digits_for_at_powers_of_ten(k, delta, num):
+    # den/num lies just below, on or just above 10^k, where the answer steps from k to k + 1; growth passes
+    # its target as an unreduced pair, so both forms are checked
+    den = num * 10 ** k + delta
+    assume(den > 0)
+    assert digits_for(F(num, den)) == digits_for((num, den)) == k + (delta > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(0, 10 ** 30), twos=st.integers(0, 40), fives=st.integers(0, 40), digits=st.integers(0, 40))
+def test_grid_pair_is_the_fraction_in_lowest_terms(m, twos, fives, digits):
+    # a grid numerator with any powers of 2 and 5, more or fewer than the grid's
+    r = (m << twos) * 5 ** fives
+    x = F(r, 10 ** digits)
+    assert roots._grid_pair(r, digits) == (x.numerator, x.denominator)
+
+
 def _exact_lower(x, n, digits):
     # the exact-radicand oracle: floor n-th root of x * 10^(digits*n), built in full
     scale = 10 ** digits
@@ -168,15 +189,16 @@ def test_root_candidate_is_the_floor_or_one_below(case):
     # the proven bracket rho - 2 < r <= rho, against the exact oracle's floor(rho)
     x, l, digits = case
     floor_rho = _exact_lower(x, 2 ** l, digits) * 10 ** digits
-    r = roots._root_candidate(x, l, digits, roots.DEFAULT_MAX_DIGITS)
+    r = roots._root_candidate(x.as_integer_ratio(), l, digits, roots.DEFAULT_MAX_DIGITS)
     assert floor_rho - 1 <= r <= floor_rho
 
 
 @pytest.mark.parametrize("x, candidate, floor", [(F(1, 5) ** 2 ** 3, 1999, 2000), (F(2), 10905, 10905)])
 def test_floor_point_takes_both_outcomes_of_the_decision(x, candidate, floor):
     # an exact power's candidate lands one below the floor, 2^(1/8)'s on it; one comparison tells which
-    assert roots._root_candidate(x, 3, 4, roots.DEFAULT_MAX_DIGITS) == candidate
-    assert roots._floor_point(x, 3, 4, roots.DEFAULT_MAX_DIGITS) == floor == _exact_lower(x, 8, 4) * 10 ** 4
+    pair = x.as_integer_ratio()
+    assert roots._root_candidate(pair, 3, 4, roots.DEFAULT_MAX_DIGITS) == candidate
+    assert roots._floor_point(pair, 3, 4, roots.DEFAULT_MAX_DIGITS) == floor == _exact_lower(x, 8, 4) * 10 ** 4
 
 
 def test_exact_hits_of_large_powers_stop_doubling_at_the_exact_size(monkeypatch):

@@ -28,6 +28,9 @@ SUBCOMMAND_MODULES = {
 #: documents of general and matrix, exact for the decimal twins and for printing an int over 4,000 bits
 OCCASIONAL_MODULES = {"recgrow.exact", "recgrow.inputs"}
 
+#: exact numbers beyond int: growth holds its values as int pairs, so only the other subcommands load these
+NUMBER_MODULES = {"_decimal", "decimal", "fractions", "numbers"}
+
 #: the input documents of the general and matrix cases, written to each case's working directory; a claim
 #: that general accepts has an integer exponent, so its envelopes take exact powers and never load roots
 DOCUMENTS = {
@@ -38,13 +41,14 @@ DOCUMENTS = {
 CASES = {
     "import recgrow": (
         _IMPORT.format(module="recgrow"),
-        {"dataclasses", "recgrow.cli", "recgrow.errors", "recgrow.recurrence", "recgrow.report", "recgrow.serialize"}
+        {"dataclasses", "recgrow.cli", "recgrow.errors", "recgrow.pairs", "recgrow.recurrence", "recgrow.report"}
+        | {"recgrow.serialize"}
         | SUBCOMMAND_MODULES
         | OCCASIONAL_MODULES,
     ),
     "import recgrow.cli": (
         _IMPORT.format(module="recgrow.cli"),
-        {"dataclasses", "inspect"} | SUBCOMMAND_MODULES | OCCASIONAL_MODULES,
+        {"dataclasses", "inspect"} | SUBCOMMAND_MODULES | OCCASIONAL_MODULES | NUMBER_MODULES,
     ),
     "eval": (
         _RUN_MAIN.format(argv=["eval", "--a", "1", "--b", "1", "--n", "4", "--format", "json"]),
@@ -61,12 +65,16 @@ CASES = {
     "growth": (
         _RUN_MAIN.format(argv=["growth", "--a", "1", "--b", "1", "--l", "4", "--format", "json"]),
         # the digit budget is an argument of the root calls, not a context variable
-        {"contextvars", "json", "recgrow.cli"} | OCCASIONAL_MODULES | SUBCOMMAND_MODULES - {"recgrow.growth", "recgrow.roots"},
+        {"contextvars", "json", "recgrow.cli"}
+        | OCCASIONAL_MODULES
+        | NUMBER_MODULES
+        | SUBCOMMAND_MODULES - {"recgrow.growth", "recgrow.roots"},
     ),
     "growth --loglog-n": (
         _RUN_MAIN.format(argv=["growth", "--a", "1", "--b", "1", "--l", "4", "--loglog-n", "5", "--format", "json"]),
         {"contextvars", "json", "recgrow.cli"}
         | OCCASIONAL_MODULES
+        | NUMBER_MODULES
         | SUBCOMMAND_MODULES - {"recgrow.growth", "recgrow.loglog", "recgrow.roots"},
     ),
     "general": (
